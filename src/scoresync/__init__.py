@@ -9,7 +9,7 @@ that tracks a per-path beat period.
 from .audio_io import AudioBuffer, load_wav
 from .dp_align import (AlignmentParams, AlignmentResult, align, backtrack,
                        compute_frame_window, prune_row, stretch_cost,
-                       transition_cost, update_beat_period)
+                       update_beat_period)
 from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      InfeasiblePathError, ScoreError, ScoreSyncError,
                      UnsupportedAudioError)
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer", "load_wav",
     "AlignmentParams", "AlignmentResult", "align", "backtrack",
-    "compute_frame_window", "prune_row", "stretch_cost", "transition_cost",
-    "update_beat_period",
+    "compute_frame_window", "prune_row", "stretch_cost", "update_beat_period",
     "FeaturePair", "extract_features", "normalize_bins", "superflux_onsets",
     "BandpassCoefficients", "FilterbankConfig", "Spectrogram",
     "band_edges", "center_frequency", "compute_spectrogram",

@@ -13,7 +13,16 @@ A virtual start state precedes the first chord: the first transition scans
 a fixed-length opening window with no stretch charge, since leading silence
 says nothing about tempo. After each row the accumulated costs can be
 pruned against the row minimum (``reset_threshold``), which bounds the work
-per chord and keeps total time linear in the recording length.
+per chord; with a beam the time grows linearly with the recording length,
+without one it grows with the number of (source, candidate) window pairs.
+
+Each row is relaxed in one vectorized pass. The windows of all finite
+source cells are computed at once and expanded into (source, destination)
+pairs in ascending source order, in chunks of a fixed pair budget. Each
+chunk takes the per-destination minimum and the first pair reaching it,
+and is merged into the row with a strict ``<``. A NaN candidate never
+wins, and on equal costs the smaller source frame wins, both within a
+chunk and across chunks.
 
 All cost arithmetic keeps a fixed evaluation order; exhaustive path
 enumeration over the same terms reproduces the accumulated costs exactly.
@@ -83,7 +92,7 @@ class AlignmentParams:
 
 @dataclass
 class DPState:
-    """Accumulated costs, backpointers, and beat periods, (M+1) x N.
+    """Accumulated costs and int32 backpointers, (M+1) x N.
 
     Row 0 is the virtual start state; row r >= 1 belongs to score onset
     r - 1. Backpointer -1 marks an unreached cell.
@@ -91,7 +100,6 @@ class DPState:
 
     d: np.ndarray
     back: np.ndarray
-    bp: np.ndarray
     score: ScoreSequence
 
 
@@ -120,41 +128,54 @@ class AlignmentResult:
         return [e.time_s for e in self.entries]
 
 
-def compute_frame_window(j: int, bp: float, dscore: float,
-                         params: AlignmentParams, num_frames: int) -> range:
-    """Candidate target frames for a transition out of frame j.
+def _frame_windows(j, bp, dscore: float, params: AlignmentParams,
+                  num_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last candidate target frames for transitions out of the
+    source frames ``j`` with beat periods ``bp`` (arrays or scalars).
 
     The window is ``[j + max(1, ceil(stretch_min * bp * dscore)),
     j + floor(stretch_max * bp * dscore)]`` clipped to the valid frame
-    range; it may come out empty near the end of the recording.
+    range; it is empty (``hi < lo``) near the end of the recording.
     """
-    span = bp * dscore
-    lo = j + max(1, math.ceil(params.stretch_min * span))
-    hi = j + math.floor(params.stretch_max * span)
+    span = np.asarray(bp, dtype=np.float64) * dscore
+    lo = j + np.maximum(1, np.ceil(params.stretch_min * span)).astype(np.int64)
+    hi = j + np.floor(params.stretch_max * span).astype(np.int64)
     if params.max_window_frames is not None:
-        hi = min(hi, lo + params.max_window_frames - 1)
-    hi = min(hi, num_frames - 1)
-    return range(lo, hi + 1)
+        hi = np.minimum(hi, lo + params.max_window_frames - 1)
+    return lo, np.minimum(hi, num_frames - 1)
 
 
-def stretch_cost(dframes, bp: float, dscore: float,
-                 params: AlignmentParams):
+def compute_frame_window(j: int, bp: float, dscore: float,
+                         params: AlignmentParams, num_frames: int) -> range:
+    """Candidate target frames for a transition out of frame j, as a range
+    (see ``_frame_windows``); it may come out empty."""
+    lo, hi = _frame_windows(j, bp, dscore, params, num_frames)
+    return range(int(lo), int(hi) + 1)
+
+
+def stretch_cost(dframes, bp, dscore: float, params: AlignmentParams):
     """Tempo-deviation cost in [0, 1]; zero when a transition of
     ``dframes`` frames matches the predicted ``bp * dscore`` exactly.
 
-    Accepts a scalar or an array of frame deltas.
+    Frame deltas and beat periods may be scalars or arrays.
     """
     ratio = dframes / (bp * dscore)
     cost = np.abs(np.log2(ratio)) / np.log2(params.stretch_max)
     return np.clip(cost, 0.0, 1.0)
 
 
-def update_beat_period(dframes, dscore: float, bp: float,
+def update_beat_period(dframes, dscore: float, bp,
                        params: AlignmentParams):
-    """Exponentially smoothed beat period after observing a transition."""
+    """Exponentially smoothed beat period after observing a transition
+    (elementwise over array arguments)."""
     observed = dframes / dscore
     bp_new = params.bp_alpha * bp + (1.0 - params.bp_alpha) * observed
     return np.clip(bp_new, params.bp_bounds[0], params.bp_bounds[1])
+
+
+# (source, destination) pairs relaxed per vectorized step; bounds the
+# temporary arrays of one row at a few MB whatever the window widths
+_PAIR_CHUNK = 1 << 15
 
 
 def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray:
@@ -194,52 +215,6 @@ def _chord_cost_vectors(onsets_values: np.ndarray, spec_values: np.ndarray,
                                              params.sustain_frames),
                        out=csp)
     return con, csp
-
-
-def transition_cost(target: int, j: int, j_new: int, features: FeaturePair,
-                    score: ScoreSequence, bp: float,
-                    params: AlignmentParams) -> float:
-    """Step cost of placing score onset ``target`` at frame ``j_new`` coming
-    from frame ``j`` (accumulated cost of the source cell not included).
-
-    For ``target == 0`` (reached from the virtual start) the stretch term
-    is zero by definition.
-    """
-    onsets_values = features.onsets.values
-    spec_values = features.spec.values
-    n = features.num_frames
-    chord = score.onsets[target]
-    rows = [features.onsets.pitch_row(p) for p in chord.pitches]
-    k_max = params.sustain_frames
-
-    if params.pitch_aggregation == "mean":
-        c_on = 0.0
-        c_sp = 0.0
-        for r in rows:
-            c_on += 1.0 - onsets_values[r, j_new]
-            m = spec_values[r, min(j_new + 1, n - 1)]
-            for k in range(2, k_max + 1):
-                m = min(m, spec_values[r, min(j_new + k, n - 1)])
-            c_sp += 1.0 - m
-        c_on /= len(rows)
-        c_sp /= len(rows)
-    else:
-        c_on = np.inf
-        c_sp = np.inf
-        for r in rows:
-            c_on = min(c_on, 1.0 - onsets_values[r, j_new])
-            m = spec_values[r, min(j_new + 1, n - 1)]
-            for k in range(2, k_max + 1):
-                m = min(m, spec_values[r, min(j_new + k, n - 1)])
-            c_sp = min(c_sp, 1.0 - m)
-
-    if target == 0:
-        c_st = 0.0
-    else:
-        dscore = score.onsets[target].beat - score.onsets[target - 1].beat
-        c_st = stretch_cost(float(j_new - j), bp, dscore, params)
-    return float((params.w_onset * c_on + params.w_stretch * c_st)
-                 + params.w_spec * c_sp)
 
 
 def prune_row(row: np.ndarray, reset_threshold: float | None) -> np.ndarray:
@@ -282,19 +257,13 @@ def align(score: ScoreSequence, features: FeaturePair,
     ]
 
     d = np.full((m + 1, n), np.inf)
-    back = np.full((m + 1, n), -1, dtype=np.int64)
-    bp_table = np.full((m + 1, n), float(params.bp_init))
+    back = np.full((m + 1, n), -1, dtype=np.int32)
     d[0, 0] = 0.0
+    bp_row = np.full(n, float(params.bp_init))
 
     for target in range(m):
-        src = target
-        dst = target + 1
         con, csp = _chord_cost_vectors(onsets_values, spec_values,
                                        chord_rows[target], params)
-        d_dst = d[dst]
-        b_dst = back[dst]
-        bp_dst = bp_table[dst]
-
         if target == 0:
             # virtual start at frame 0: scan the opening window, stretch
             # cost zero, beat period left at bp_init
@@ -303,44 +272,83 @@ def align(score: ScoreSequence, features: FeaturePair,
             step = params.w_onset * con[sl]
             step = step + params.w_spec * csp[sl]
             cand = d[0, 0] + step
-            seg = d_dst[sl]
+            seg = d[1, sl]
             better = cand < seg
             seg[better] = cand[better]
-            b_dst[sl][better] = 0
+            back[1, sl][better] = 0
         else:
             dscore = beats[target] - beats[target - 1]
-            for j in np.flatnonzero(np.isfinite(d[src])):
-                bp = bp_table[src, j]
-                window = compute_frame_window(int(j), float(bp), dscore,
-                                              params, n)
-                if len(window) == 0:
-                    continue
-                sl = slice(window.start, window.stop)
-                dframes = np.arange(window.start - j, window.stop - j,
-                                    dtype=np.float64)
-                st = stretch_cost(dframes, float(bp), dscore, params)
-                step = params.w_onset * con[sl]
-                step = step + params.w_stretch * st
-                step = step + params.w_spec * csp[sl]
-                cand = d[src, j] + step
-                seg = d_dst[sl]
-                better = cand < seg
-                if better.any():
-                    seg[better] = cand[better]
-                    b_dst[sl][better] = j
-                    bp_new = update_beat_period(dframes, dscore, float(bp),
-                                                params)
-                    bp_dst[sl][better] = bp_new[better]
+            bp_row = _relax_row(d[target], bp_row, d[target + 1],
+                                back[target + 1], con, csp, dscore, params)
 
-        if not np.isfinite(d_dst).any():
+        if not np.isfinite(d[target + 1]).any():
             raise InfeasiblePathError(
                 f"no feasible frame for score onset {target} "
                 f"(beat {beats[target]:g})", score_index=target)
         if params.reset_threshold is not None:
-            d[dst] = prune_row(d[dst], params.reset_threshold)
+            d[target + 1] = prune_row(d[target + 1], params.reset_threshold)
 
-    state = DPState(d=d, back=back, bp=bp_table, score=score)
-    return backtrack(state, rate)
+    return backtrack(DPState(d=d, back=back, score=score), rate)
+
+
+def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
+               b_dst: np.ndarray, con: np.ndarray, csp: np.ndarray,
+               dscore: float, params: AlignmentParams) -> np.ndarray:
+    """Relax every window pair out of the finite cells of ``d_src`` into
+    ``d_dst``/``b_dst`` (updated in place); returns the beat periods of
+    the destination row.
+
+    Pairs run in ascending source order, ``_PAIR_CHUNK`` at a time. A
+    chunk wins a destination with its smallest candidate, taken by the
+    first pair reaching it, and only if that beats the row strictly; so a
+    tie goes to the smaller source, whichever chunks the pairs fall in.
+    """
+    n = len(d_dst)
+    bp_dst = np.full(n, float(params.bp_init))
+    src = np.flatnonzero(np.isfinite(d_src))
+    lo, hi = _frame_windows(src, bp_src[src], dscore, params, n)
+    keep = hi >= lo
+    src, lo, widths = src[keep], lo[keep], (hi - lo + 1)[keep]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    total = int(ends[-1]) if len(ends) else 0
+    shift = lo - starts  # destination of pair p is p + shift[source]
+    bp_s = bp_src[src]
+    d_s = d_src[src]
+    w_con = params.w_onset * con
+    w_csp = params.w_spec * csp
+
+    for p0 in range(0, total, _PAIR_CHUNK):
+        p1 = min(p0 + _PAIR_CHUNK, total)
+        # sources with pairs in [p0, p1), and how many each
+        s0 = int(np.searchsorted(ends, p0, side="right"))
+        s1 = int(np.searchsorted(starts, p1, side="left"))
+        counts = np.minimum(ends[s0:s1], p1) - np.maximum(starts[s0:s1], p0)
+        j = np.repeat(src[s0:s1], counts)
+        dst = np.arange(p0, p1) + np.repeat(shift[s0:s1], counts)
+        dframes = (dst - j).astype(np.float64)
+        bp = np.repeat(bp_s[s0:s1], counts)
+        st = stretch_cost(dframes, bp, dscore, params)
+        step = w_con[dst] + params.w_stretch * st
+        step = step + w_csp[dst]
+        cand = np.repeat(d_s[s0:s1], counts) + step
+
+        base = int(dst.min())
+        local = dst - base
+        width = int(local.max()) + 1
+        best = np.full(width, np.inf)
+        np.fmin.at(best, local, cand)
+        hit = np.flatnonzero(cand == best[local])
+        first = np.full(width, len(cand))
+        np.minimum.at(first, local[hit], hit)
+        won = np.flatnonzero(best < d_dst[base:base + width])
+        pair = first[won]
+        won += base
+        d_dst[won] = cand[pair]
+        b_dst[won] = j[pair]
+        bp_dst[won] = update_beat_period(dframes[pair], dscore, bp[pair],
+                                         params)
+    return bp_dst
 
 
 def backtrack(state: DPState, effective_frame_rate: float) -> AlignmentResult:

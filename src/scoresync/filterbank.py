@@ -163,18 +163,33 @@ def design_filterbank(config: FilterbankConfig,
     return bank
 
 
+def _block_heads(x: np.ndarray, hop: int, width: int) -> np.ndarray:
+    """Maximum over the first ``width`` samples of every hop-sized block,
+    the partial block at the end of the signal included."""
+    full = len(x) // hop
+    heads = x[:full * hop].reshape(full, hop)[:, :width].max(axis=1)
+    tail = x[full * hop:full * hop + width]
+    return np.append(heads, tail.max()) if len(tail) else heads
+
+
 def window_max(x: np.ndarray, hop: int, window: int) -> np.ndarray:
     """Frame a 1-D signal into floor(len(x) / hop) window maxima.
 
     Frame t covers samples [t * hop, t * hop + window), truncated at the
-    end of the signal when the window is wider than the hop.
+    end of the signal when the window is wider than the hop. A window of
+    q hops plus r samples is the maximum of q whole-block maxima and the
+    head of the next block.
     """
     num_frames = len(x) // hop
-    if window == hop:
-        return x[:num_frames * hop].reshape(num_frames, hop).max(axis=1)
-    out = np.empty(num_frames)
-    for t in range(num_frames):
-        out[t] = x[t * hop:t * hop + window].max()
+    q, r = divmod(window, hop)
+    blocks = _block_heads(x, hop, hop)
+    parts = [(k, blocks) for k in range(q)]
+    if r:
+        parts.append((q, _block_heads(x, hop, r)))
+    out = np.full(num_frames, -np.inf)
+    for k, part in parts:
+        size = max(0, min(num_frames, len(part) - k))
+        np.maximum(out[:size], part[k:k + size], out=out[:size])
     return out
 
 

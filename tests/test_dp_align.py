@@ -6,12 +6,14 @@ import pytest
 from scoresync import (AlignmentParams, ConfigurationError,
                        InfeasiblePathError, align, backtrack,
                        compute_frame_window, prune_row, stretch_cost,
-                       synthesize, transition_cost, update_beat_period)
+                       synthesize, update_beat_period)
+from scoresync import dp_align
 from scoresync.dp_align import DPState
 from scoresync import AudioBuffer, TempoMap, compute_spectrogram, \
     extract_features
-from helpers import (enumerate_paths_min, make_features, make_score,
-                     path_cost, random_instance, reference_align)
+from helpers import (_scalar_step_cost, _scalar_stretch, enumerate_paths_min,
+                     make_features, make_score, path_cost, random_instance,
+                     reference_align)
 
 DEFAULT = AlignmentParams()
 
@@ -109,6 +111,19 @@ def _two_chord_setup(n=40, bp=4.0, sustain=3):
     return feats, score, params
 
 
+def transition_cost(target, j, j_new, feats, score, bp, params):
+    """Step cost of placing onset ``target`` at ``j_new`` coming from ``j``,
+    from the oracle's scalar terms (no stretch charge for ``target == 0``).
+    """
+    rows_per = [[feats.onsets.pitch_row(p) for p in o.pitches]
+                for o in score.onsets]
+    c_st = 0.0
+    if target > 0:
+        dscore = score.beats[target] - score.beats[target - 1]
+        c_st = _scalar_stretch(float(j_new - j), bp * dscore, params)
+    return _scalar_step_cost(feats, rows_per, params, target, c_st, j_new)
+
+
 class TestTransitionCost:
     def test_perfect_match_costs_nothing(self):
         feats, score, params = _two_chord_setup()
@@ -153,6 +168,21 @@ class TestTransitionCost:
         assert transition_cost(0, 0, 3, feats, score, 4.0, params) == 0.0
 
 
+def _assert_matches_reference(rng, instances):
+    """Exact agreement (cost and frames) with the brute-force oracle on
+    random instances, including which ones are infeasible."""
+    for _ in range(instances):
+        score, feats, params = random_instance(rng)
+        ref_cost, ref_path = reference_align(score, feats, params)
+        if np.isinf(ref_cost):
+            with pytest.raises(InfeasiblePathError):
+                align(score, feats, params)
+            continue
+        result = align(score, feats, params)
+        assert result.total_cost == ref_cost
+        assert result.frames == ref_path
+
+
 class TestAlign:
     def test_single_tone_attack_recovered(self):
         score = make_score([0.0], [[69]])
@@ -183,17 +213,7 @@ class TestAlign:
         assert result.frames == enum_path
 
     def test_reference_equivalence_random_instances(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(40):
-            score, feats, params = random_instance(rng)
-            ref_cost, ref_path = reference_align(score, feats, params)
-            if np.isinf(ref_cost):
-                with pytest.raises(InfeasiblePathError):
-                    align(score, feats, params)
-                continue
-            result = align(score, feats, params)
-            assert result.total_cost == ref_cost
-            assert result.frames == ref_path
+        _assert_matches_reference(np.random.default_rng(1234), 40)
 
     def test_cost_accounting_against_path_enumeration(self):
         # the returned cost is exactly the path-wise cost of the returned
@@ -297,11 +317,42 @@ class TestAlign:
         assert result.entries[0].frame == 40
 
 
+class TestPairChunks:
+    """Rows relaxed in many small pair chunks must agree with the oracle
+    exactly, ties across chunk boundaries included."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_small_chunks_match_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(dp_align, "_PAIR_CHUNK", chunk)
+        _assert_matches_reference(np.random.default_rng(2024 + chunk), 30)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 15])
+    def test_cross_chunk_tie_goes_to_smaller_source(self, monkeypatch,
+                                                    chunk):
+        # chord 0 costs exactly 0 at frames 5 and 7; with no stretch
+        # charge both reach frame 20 of chord 1 at cost 0, and the pairs
+        # (5, 20) and (7, 20) lie 52 pairs apart
+        monkeypatch.setattr(dp_align, "_PAIR_CHUNK", chunk)
+        onsets = np.zeros((6, 40))
+        spec = np.zeros((6, 40))
+        onsets[0, [5, 7]] = 1.0
+        spec[0, 6:11] = 1.0
+        onsets[2, 20] = 1.0
+        spec[2, 21:24] = 1.0
+        feats = make_features(onsets, spec, midi_low=60)
+        score = make_score([0.0, 1.0], [[60], [62]])
+        params = dataclasses.replace(DEFAULT, w_stretch=0.0, bp_init=10.0,
+                                     bp_bounds=(1.0, 60.0))
+        result = align(score, feats, params)
+        assert result.frames == [5, 20]
+        assert result.total_cost == 0.0
+        assert reference_align(score, feats, params) == (0.0, [5, 20])
+
+
 class TestBacktrack:
     def _state(self, d, back):
         return DPState(d=np.asarray(d, dtype=float),
-                       back=np.asarray(back, dtype=np.int64),
-                       bp=np.full_like(np.asarray(d, dtype=float), 25.0),
+                       back=np.asarray(back, dtype=np.int32),
                        score=make_score([0.0, 1.0][:len(d) - 1],
                                         [[60], [62]][:len(d) - 1]))
 

@@ -121,6 +121,18 @@ class TestWindowMax:
         frames = window_max(np.arange(10.0), hop=3, window=6)
         assert frames.tolist() == [5.0, 8.0, 9.0]
 
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_block_maxima_match_per_frame_loop(self, factor):
+        rng = np.random.default_rng(factor)
+        for hop in (1, 3, 7):
+            for length in (hop, 5 * hop - 1, 5 * hop, 5 * hop + 2, 41):
+                x = rng.uniform(0, 1, length)
+                # whole hops, and whole hops plus part of the next block
+                for window in (factor * hop, factor * hop + hop // 2):
+                    expected = [x[t * hop:t * hop + window].max()
+                                for t in range(length // hop)]
+                    assert window_max(x, hop, window).tolist() == expected
+
 
 class TestComputeSpectrogram:
     def test_silence_gives_zero_frames(self):
