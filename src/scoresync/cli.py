@@ -5,7 +5,10 @@ alignment path, 6 configuration.
 """
 
 import argparse
+import dataclasses
 import sys
+import types
+import typing
 
 import numpy as np
 from scipy.io import wavfile
@@ -25,32 +28,29 @@ EXIT_CONFIG = 6
 
 _AUDIO_ERRORS = (AudioReadError, UnsupportedAudioError, EmptyAudioError)
 
-# config-file / flag keys with their parsers; "none" clears optional values
-_FILTERBANK_KEYS = {
-    "frame_rate": float,
-    "window_factor": int,
-    "num_bands": int,
-    "midi_low": int,
-    "reference_pitch": int,
-    "reference_freq": float,
-}
-_PARAM_KEYS = {
-    "stretch_min": float,
-    "stretch_max": float,
-    "w_onset": float,
-    "w_stretch": float,
-    "w_spec": float,
-    "bp_init": float,
-    "bp_alpha": float,
-    "sustain_frames": int,
-    "reset_threshold": float,
-    "pitch_aggregation": str,
-    "initial_window": float,
-    "bp_min": float,
-    "bp_max": float,
-    "max_window_frames": int,
-}
-_OPTIONAL_KEYS = {"reset_threshold", "max_window_frames"}
+# bp_bounds is the one tuple field; the config file spells its ends
+# bp_min/bp_max and it has no flag
+_TUPLE_KEYS = {"bp_bounds": ("bp_min", "bp_max")}
+_FILTERBANK_FLAGS = ("frame_rate", "window_factor")
+
+
+def _value_type(annotation):
+    """What one value of a field is parsed as: ``float`` for ``float |
+    None`` or ``tuple[float, float]``, ``str`` for a ``Literal``."""
+    origin = typing.get_origin(annotation)
+    if origin is typing.Literal:
+        return str
+    if origin in (tuple, types.UnionType):
+        return next(arg for arg in typing.get_args(annotation)
+                    if arg is not type(None))
+    return annotation
+
+
+# config key -> annotation of its field
+_CONFIG_KEYS = {key: f.type
+                for cls in (FilterbankConfig, dp_align.AlignmentParams)
+                for f in dataclasses.fields(cls)
+                for key in _TUPLE_KEYS.get(f.name, (f.name,))}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -72,43 +72,45 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _merge_settings(args) -> dict:
-    """Defaults overridden by the config file, overridden by explicit flags."""
+    """Defaults overridden by the config file, overridden by explicit flags;
+    ``none`` in the file clears a field that may be None."""
     merged = {}
     file_values = _read_config_file(args.config) if getattr(
         args, "config", None) else {}
-    for key, cast in {**_FILTERBANK_KEYS, **_PARAM_KEYS}.items():
+    for key, annotation in _CONFIG_KEYS.items():
         if key in file_values:
             raw = file_values[key]
-            if key in _OPTIONAL_KEYS and raw.lower() == "none":
+            if type(None) in typing.get_args(annotation) \
+                    and raw.lower() == "none":
                 merged[key] = None
             else:
                 try:
-                    merged[key] = cast(raw)
+                    merged[key] = _value_type(annotation)(raw)
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"config key {key}: {exc}") from exc
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    unknown = set(file_values) - set(_FILTERBANK_KEYS) - set(_PARAM_KEYS)
+    unknown = set(file_values) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
     return merged
 
 
-def _filterbank_config(settings: dict) -> FilterbankConfig:
-    kwargs = {k: settings[k] for k in _FILTERBANK_KEYS if k in settings}
-    return FilterbankConfig(**kwargs)
-
-
-def _alignment_params(settings: dict) -> dp_align.AlignmentParams:
-    kwargs = {k: settings[k] for k in _PARAM_KEYS
-              if k in settings and k not in ("bp_min", "bp_max")}
-    defaults = dp_align.AlignmentParams()
-    bp_bounds = (settings.get("bp_min", defaults.bp_bounds[0]),
-                 settings.get("bp_max", defaults.bp_bounds[1]))
-    return dp_align.AlignmentParams(bp_bounds=bp_bounds, **kwargs)
+def _build(cls, settings: dict):
+    """A ``cls`` instance from the merged settings; unset fields keep their
+    defaults, and a tuple field takes its ends from its own keys."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in _TUPLE_KEYS:
+            kwargs[f.name] = tuple(
+                settings.get(key, default)
+                for key, default in zip(_TUPLE_KEYS[f.name], f.default))
+        elif f.name in settings:
+            kwargs[f.name] = settings[f.name]
+    return cls(**kwargs)
 
 
 def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
@@ -153,30 +155,17 @@ def _parse_tempo(text: str) -> synth_eval.TempoMap:
             f"invalid tempo map {text!r}: {exc}") from exc
 
 
-def _add_filterbank_flags(parser) -> None:
-    parser.add_argument("--frame-rate", type=float, dest="frame_rate",
-                        help="nominal frame rate in Hz (default 50)")
-    parser.add_argument("--window-factor", type=int, dest="window_factor",
-                        help="aggregation window width as a multiple of "
-                             "the hop (default 1)")
-
-
-def _add_param_flags(parser) -> None:
-    parser.add_argument("--stretch-min", type=float, dest="stretch_min")
-    parser.add_argument("--stretch-max", type=float, dest="stretch_max")
-    parser.add_argument("--w-onset", type=float, dest="w_onset")
-    parser.add_argument("--w-stretch", type=float, dest="w_stretch")
-    parser.add_argument("--w-spec", type=float, dest="w_spec")
-    parser.add_argument("--bp-init", type=float, dest="bp_init")
-    parser.add_argument("--bp-alpha", type=float, dest="bp_alpha")
-    parser.add_argument("--sustain-frames", type=int, dest="sustain_frames")
-    parser.add_argument("--reset-threshold", type=float,
-                        dest="reset_threshold")
-    parser.add_argument("--pitch-aggregation", choices=("mean", "min"),
-                        dest="pitch_aggregation")
-    parser.add_argument("--initial-window", type=float, dest="initial_window")
-    parser.add_argument("--max-window-frames", type=int,
-                        dest="max_window_frames")
+def _add_flags(parser, cls, names=None) -> None:
+    """A ``--field-name`` flag for each field of ``cls`` (only ``names`` if
+    given) that is not a tuple, typed by the field's annotation."""
+    for f in dataclasses.fields(cls):
+        if f.name in _TUPLE_KEYS or (names is not None and f.name not in names):
+            continue
+        literal = typing.get_origin(f.type) is typing.Literal
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=_value_type(f.type),
+                            choices=typing.get_args(f.type) if literal else None,
+                            help=f"default {f.default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--chord-tolerance", type=int, default=0,
                          dest="chord_tolerance",
                          help="MIDI tick tolerance for chord grouping")
-    _add_filterbank_flags(p_align)
-    _add_param_flags(p_align)
+    _add_flags(p_align, FilterbankConfig, _FILTERBANK_FLAGS)
+    _add_flags(p_align, dp_align.AlignmentParams)
 
     p_feat = sub.add_parser("features", help="export feature matrices as CSV")
     p_feat.add_argument("--audio", required=True)
@@ -210,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--precision", choices=("6", "full"), default="6",
                         help="numeric precision of the CSV values")
     p_feat.add_argument("--config", help="key=value parameter file")
-    _add_filterbank_flags(p_feat)
+    _add_flags(p_feat, FilterbankConfig, _FILTERBANK_FLAGS)
 
     p_synth = sub.add_parser("synth",
                              help="render a synthetic performance of a score")
@@ -242,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_align(args) -> int:
     try:
         settings = _merge_settings(args)
-        params = _alignment_params(settings)
+        params = _build(dp_align.AlignmentParams, settings)
+        config = _build(FilterbankConfig, settings)
     except ConfigurationError as exc:
         return _fail(f"config: {exc}", EXIT_CONFIG)
 
@@ -253,12 +243,9 @@ def cmd_align(args) -> int:
 
     try:
         if args.audio is not None:
-            audio = load_wav(args.audio)
-            config = _filterbank_config(settings)
-            raw = compute_spectrogram(audio, config)
+            raw = compute_spectrogram(load_wav(args.audio), config)
         else:
-            frame_rate = settings.get("frame_rate", 50.0)
-            raw = formats.read_feature_csv(args.features, frame_rate)
+            raw = formats.read_feature_csv(args.features, config.frame_rate)
     except _AUDIO_ERRORS as exc:
         return _fail(f"audio: {exc}", EXIT_IO)
     except ConfigurationError as exc:
@@ -289,8 +276,7 @@ def cmd_align(args) -> int:
 
 def cmd_features(args) -> int:
     try:
-        settings = _merge_settings(args)
-        config = _filterbank_config(settings)
+        config = _build(FilterbankConfig, _merge_settings(args))
     except ConfigurationError as exc:
         return _fail(f"config: {exc}", EXIT_CONFIG)
 
@@ -305,10 +291,9 @@ def cmd_features(args) -> int:
     matrix = {"raw": lambda: raw,
               "spec": lambda: normalize_bins(raw),
               "onsets": lambda: superflux_onsets(raw)}[args.feature]()
-    precision = "full" if args.precision == "full" else 6
     try:
         _write_out(args.out, lambda out: formats.write_feature_csv(
-            out, matrix, precision=precision))
+            out, matrix, precision=args.precision))
     except OSError as exc:
         return _fail(f"output: {exc}", EXIT_IO)
     return 0

@@ -30,12 +30,16 @@ enumeration over the same terms reproduces the accumulated costs exactly.
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyAudioError, InfeasiblePathError, ScoreError
+from .errors import (ConfigurationError, EmptyAudioError, InfeasiblePathError,
+                     ScoreError, check_finite)
 from .features import FeaturePair
 from .score import ScoreSequence
+
+PitchAggregation = Literal["mean", "min"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,17 @@ class AlignmentParams:
     """Tuning knobs of the dynamic program.
 
     ``stretch_min``/``stretch_max`` bound how far a transition may deviate
-    from the beat-period prediction; ``bp_alpha`` is the smoothing weight
-    kept on the old beat period at each update. ``sustain_frames`` is how
-    many frames after a candidate must still show spectral energy.
-    ``reset_threshold`` (optional) prunes cells whose cost exceeds the row
-    minimum by more than the threshold. ``initial_window`` (seconds) is the
-    search range for the first chord.
+    from the beat-period prediction; ``w_onset``/``w_stretch``/``w_spec``
+    weight the onset, stretch and sustained-spectral costs. ``bp_init`` is
+    the starting beat period (frames per beat), ``bp_bounds`` the range
+    every update is clamped to, and ``bp_alpha`` the smoothing weight kept
+    on the old beat period at each update. ``sustain_frames`` is how many frames after a candidate
+    must still show spectral energy; ``pitch_aggregation`` combines the
+    per-pitch costs of a chord by their mean or minimum. ``reset_threshold``
+    (optional) prunes cells whose cost exceeds the row minimum by more than
+    the threshold. ``initial_window`` (seconds) is the search range for the
+    first chord; ``max_window_frames`` (optional) caps every window. Every
+    float, both ends of ``bp_bounds`` included, must be finite.
     """
 
     stretch_min: float = 1.0 / 3.0
@@ -60,12 +69,13 @@ class AlignmentParams:
     bp_alpha: float = 0.5
     sustain_frames: int = 3
     reset_threshold: float | None = None
-    pitch_aggregation: str = "mean"  # "mean" or "min" over the chord
+    pitch_aggregation: PitchAggregation = "mean"
     initial_window: float = 5.0
     bp_bounds: tuple[float, float] = (5.0, 250.0)
     max_window_frames: int | None = None
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.stretch_min < 1.0 < self.stretch_max:
             raise ConfigurationError(
                 "stretch limits must satisfy 0 < stretch_min < 1 < stretch_max")
@@ -79,7 +89,7 @@ class AlignmentParams:
             raise ConfigurationError("bp_alpha must lie in [0, 1]")
         if self.sustain_frames < 1:
             raise ConfigurationError("sustain_frames must be >= 1")
-        if self.pitch_aggregation not in ("mean", "min"):
+        if self.pitch_aggregation not in get_args(PitchAggregation):
             raise ConfigurationError(
                 f"unknown pitch aggregation {self.pitch_aggregation!r}")
         if self.initial_window <= 0:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
+from dataclasses import fields
 
 
 class ScoreSyncError(Exception):
@@ -32,3 +35,13 @@ class InfeasiblePathError(ScoreSyncError):
     def __init__(self, message: str, score_index: int):
         super().__init__(message)
         self.score_index = score_index
+
+
+def check_finite(params) -> None:
+    """Raise ConfigurationError on a NaN or infinite float field of the
+    dataclass ``params``, or element of a tuple field."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigurationError(f"{f.name} must be finite, got {v}")

@@ -18,21 +18,28 @@ import numpy as np
 from scipy import signal
 
 from .audio_io import AudioBuffer
-from .errors import ConfigurationError, EmptyAudioError
+from .errors import ConfigurationError, EmptyAudioError, check_finite
 
 
 @dataclass(frozen=True)
 class FilterbankConfig:
-    """Temperament, register, and framing parameters of the filterbank."""
+    """Temperament, register, and framing parameters of the filterbank.
+
+    ``num_bands`` semitone bands start at MIDI ``midi_low``, tuned so that
+    MIDI ``reference_pitch`` sits at ``reference_freq`` Hz. ``frame_rate``
+    (Hz) sets the hop ``round(sample_rate / frame_rate)``; the aggregation
+    window is ``window_factor`` hops wide. Both floats must be finite.
+    """
 
     num_bands: int = 88
     midi_low: int = 21
     reference_pitch: int = 69
     reference_freq: float = 440.0
     frame_rate: float = 50.0
-    window_factor: int = 1  # window width = window_factor * hop
+    window_factor: int = 1
 
     def __post_init__(self):
+        check_finite(self)
         if self.num_bands < 1:
             raise ConfigurationError("num_bands must be >= 1")
         if self.midi_low + self.num_bands - 1 > 127:

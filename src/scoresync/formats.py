@@ -6,6 +6,7 @@ raw spectrogram reproduce an alignment bit for bit).
 """
 
 import json
+import warnings
 from typing import IO, Iterable
 
 import numpy as np
@@ -16,10 +17,13 @@ from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
 
 
+def _formatter(precision):
+    """Formats a Python float to ``precision`` digits or in full."""
+    return repr if precision == "full" else f"{{:.{int(precision)}g}}".format
+
+
 def _fmt(value: float, precision) -> str:
-    if precision == "full":
-        return repr(float(value))
-    return f"{value:.{int(precision)}g}"
+    return _formatter(precision)(float(value))
 
 
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
@@ -27,27 +31,34 @@ def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
     """Header ``frame,p<low>,...,p<high>``, one row per frame."""
     header = "frame," + ",".join(f"p{p}" for p in spectrogram.band_pitches)
     out.write(header + "\n")
-    for t in range(spectrogram.num_frames):
-        row = ",".join(_fmt(v, precision) for v in spectrogram.values[:, t])
-        out.write(f"{t},{row}\n")
+    fmt = _formatter(precision)
+    for t, row in enumerate(spectrogram.values.T.tolist()):
+        out.write(f"{t},{','.join(map(fmt, row))}\n")
 
 
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
     The CSV carries no frame rate, so the effective rate must be supplied.
+    ValueError unless it has rows, all as wide as the header, of finite
+    non-negative values.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
         if not header or header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
         pitches = np.array([int(col[1:]) for col in header[1:]])
-        rows = []
-        for line in f:
-            fields = line.strip().split(",")
-            rows.append([float(v) for v in fields[1:]])
-    values = np.array(rows, dtype=np.float64).T if rows \
-        else np.zeros((len(pitches), 0))
+        with warnings.catch_warnings():
+            # a header-only CSV has no rows; that is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+    if rows.shape[0] == 0 or rows.shape[1] != len(header):
+        raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
+                         f"values after the header")
+    values = rows[:, 1:].T
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError(f"{path!r}: feature values must be finite and "
+                         f"non-negative")
     return Spectrogram(values=values, frame_rate=frame_rate,
                        band_pitches=pitches)
 

@@ -6,6 +6,7 @@ form one chord.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ def _validated(onsets: list[ScoreOnset]) -> ScoreSequence:
         for p in onset.pitches:
             if not 0 <= p <= 127:
                 raise ScoreError(f"pitch {p} out of MIDI range at onset {i}")
+        if not math.isfinite(onset.beat):
+            raise ScoreError(f"non-finite beat {onset.beat} at onset {i}")
         if prev is not None and onset.beat <= prev:
             raise ScoreError(
                 f"beats not strictly increasing at onset {i} "

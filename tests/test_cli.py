@@ -1,10 +1,11 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from scoresync import cli
+from scoresync import AlignmentParams, FilterbankConfig, cli
 from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
                            main)
 
@@ -116,6 +117,44 @@ class TestAlign:
                      piece["score"], "--out", str(from_dump)]) == 0
         assert direct.read_bytes() == from_dump.read_bytes()
 
+    def _dump_rows(self, piece, tmp_path):
+        raw = tmp_path / "raw.csv"
+        assert main(["features", "--audio", piece["wav"], "--feature", "raw",
+                     "--precision", "full", "--out", str(raw)]) == 0
+        return raw, raw.read_text().splitlines()
+
+    def _align_dump(self, piece, raw, lines):
+        raw.write_text("\n".join(lines) + "\n")
+        return main(["align", "--features", str(raw), "--score",
+                     piece["score"], "--out", str(raw.with_suffix(".out"))])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_or_negative_dump_is_io_error(self, piece, tmp_path,
+                                                     capsys, value):
+        raw, lines = self._dump_rows(piece, tmp_path)
+        fields = lines[5].split(",")
+        fields[40] = value
+        lines[5] = ",".join(fields)
+        assert self._align_dump(piece, raw, lines) == EXIT_IO
+        assert "finite and non-negative" in capsys.readouterr().err
+
+    def test_ragged_dump_is_io_error(self, piece, tmp_path):
+        raw, lines = self._dump_rows(piece, tmp_path)
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        assert self._align_dump(piece, raw, lines) == EXIT_IO
+
+    def test_header_only_dump_is_io_error(self, piece, tmp_path):
+        raw, lines = self._dump_rows(piece, tmp_path)
+        assert self._align_dump(piece, raw, lines[:1]) == EXIT_IO
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--initial-window", "nan"), ("--initial-window", "inf"),
+        ("--frame-rate", "nan"), ("--stretch-max", "inf"),
+        ("--w-stretch", "nan"), ("--reset-threshold", "nan")])
+    def test_non_finite_parameter_is_config_error(self, piece, flag, value):
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], flag, value]) == EXIT_CONFIG
+
     def test_audio_and_features_mutually_exclusive(self, piece):
         with pytest.raises(SystemExit) as excinfo:
             main(["align", "--audio", piece["wav"], "--features", "x.csv",
@@ -199,27 +238,104 @@ class TestEval:
                      "--truth", piece["truth"]]) == EXIT_SCORE
 
 
+# one valid non-default value per field of both parameter dataclasses
+FIELD_VALUES = {
+    "num_bands": 40, "midi_low": 30, "reference_pitch": 57,
+    "reference_freq": 220.0, "frame_rate": 25.0, "window_factor": 2,
+    "stretch_min": 0.5, "stretch_max": 2.5, "w_onset": 0.5,
+    "w_stretch": 2.0, "w_spec": 1.5, "bp_init": 30.0, "bp_alpha": 0.25,
+    "sustain_frames": 4, "reset_threshold": 2.0, "pitch_aggregation": "min",
+    "initial_window": 3.0, "bp_bounds": (6.0, 200.0),
+    "max_window_frames": 100,
+}
+ALIGN_PARAM_FLAGS = [
+    "--frame-rate", "--window-factor", "--stretch-min", "--stretch-max",
+    "--w-onset", "--w-stretch", "--w-spec", "--bp-init", "--bp-alpha",
+    "--sustain-frames", "--reset-threshold", "--pitch-aggregation",
+    "--initial-window", "--max-window-frames"]
+
+
+def _option_strings(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [opt for action in sub.choices[command]._actions
+            for opt in action.option_strings]
+
+
 class TestConfigFile:
-    def make_args(self, **kwargs):
-        defaults = {key: None for key in {**cli._FILTERBANK_KEYS,
-                                          **cli._PARAM_KEYS}}
-        defaults["config"] = None
-        defaults.update(kwargs)
-        return argparse.Namespace(**defaults)
+    def make_args(self, *flags):
+        return cli.build_parser().parse_args(
+            ["align", "--audio", "a.wav", "--score", "s.json", *flags])
+
+    def built(self, *flags):
+        settings = cli._merge_settings(self.make_args(*flags))
+        return (cli._build(FilterbankConfig, settings),
+                cli._build(AlignmentParams, settings))
+
+    def test_field_values_cover_every_field(self):
+        for cls in (FilterbankConfig, AlignmentParams):
+            for f in dataclasses.fields(cls):
+                assert FIELD_VALUES[f.name] != f.default, f.name
+
+    def test_flag_sets(self):
+        assert _option_strings("align") == [
+            "-h", "--help", "--audio", "--features", "--score", "--out",
+            "--format", "--config", "--chord-tolerance", *ALIGN_PARAM_FLAGS]
+        assert _option_strings("features") == [
+            "-h", "--help", "--audio", "--out", "--feature", "--precision",
+            "--config", *ALIGN_PARAM_FLAGS[:2]]
+
+    def test_every_field_is_a_config_key(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        low, high = FIELD_VALUES["bp_bounds"]
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in FIELD_VALUES.items()
+                               if k != "bp_bounds")
+                       + f"bp_min={low}\nbp_max={high}\n")
+        assert len(cli._CONFIG_KEYS) == 20
+        for obj in self.built("--config", str(cfg)):
+            for f in dataclasses.fields(obj):
+                assert getattr(obj, f.name) == FIELD_VALUES[f.name], f.name
+
+    def test_every_flag_reaches_its_field(self):
+        flagged = {opt[2:].replace("-", "_") for opt in ALIGN_PARAM_FLAGS}
+        argv = [arg for name in flagged
+                for arg in ("--" + name.replace("_", "-"),
+                            str(FIELD_VALUES[name]))]
+        for obj in self.built(*argv):
+            for f in dataclasses.fields(obj):
+                expected = FIELD_VALUES[f.name] if f.name in flagged \
+                    else f.default
+                assert getattr(obj, f.name) == expected, f.name
+
+    def test_bp_min_max_set_the_bounds(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("bp_max=120\n")
+        assert self.built("--config", str(cfg))[1].bp_bounds == (5.0, 120.0)
+        cfg.write_text("bp_min=10\nbp_max=120\n")
+        assert self.built("--config", str(cfg))[1].bp_bounds == (10.0, 120.0)
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("# comment\nstretch_max=4.0\nbp_init=30\n")
         settings = cli._merge_settings(
-            self.make_args(config=str(cfg), bp_init=20.0))
+            self.make_args("--config", str(cfg), "--bp-init", "20"))
         assert settings["stretch_max"] == 4.0
         assert settings["bp_init"] == 20.0
 
     def test_none_clears_optional_keys(self, tmp_path):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("reset_threshold=none\n")
-        settings = cli._merge_settings(self.make_args(config=str(cfg)))
+        cfg.write_text("reset_threshold=2.0\nmax_window_frames=9\n")
+        settings = cli._merge_settings(self.make_args(
+            "--config", str(cfg)))
+        assert settings == {"reset_threshold": 2.0, "max_window_frames": 9}
+        cfg.write_text("reset_threshold=none\nmax_window_frames=None\n")
+        settings = cli._merge_settings(self.make_args("--config", str(cfg)))
         assert settings["reset_threshold"] is None
+        assert settings["max_window_frames"] is None
+        params = cli._build(AlignmentParams, settings)
+        assert params.reset_threshold is None
+        assert params.max_window_frames is None
 
     def test_unknown_key_rejected(self, tmp_path, piece):
         cfg = tmp_path / "p.cfg"
@@ -232,6 +348,23 @@ class TestConfigFile:
         cfg.write_text("stretch_min=2.0\n")
         assert main(["align", "--audio", piece["wav"], "--score",
                      piece["score"], "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["pitch_aggregation=median",
+                                      "sustain_frames=2.5",
+                                      "initial_window=nan"])
+    def test_invalid_value_in_file_is_config_error(self, tmp_path,
+                                                   score_path, line):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["align", "--audio", str(tmp_path / "missing.wav"),
+                     "--score", score_path, "--config", str(cfg)]) \
+            == EXIT_CONFIG
+
+    def test_unknown_pitch_aggregation_flag_is_usage_error(self, score_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["align", "--audio", "a.wav", "--score", score_path,
+                  "--pitch-aggregation", "median"])
+        assert excinfo.value.code == 2
 
     def test_config_applies_to_features_command(self, tmp_path, piece):
         cfg = tmp_path / "p.cfg"

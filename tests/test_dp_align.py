@@ -402,6 +402,19 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError):
             AlignmentParams(bp_init=1.0, bp_bounds=(5.0, 250.0))
 
+    @pytest.mark.parametrize("field,value", [
+        ("stretch_min", float("nan")), ("stretch_max", float("inf")),
+        ("w_onset", float("-inf")), ("w_stretch", float("nan")),
+        ("w_spec", float("inf")), ("bp_init", float("nan")),
+        ("bp_alpha", float("nan")), ("reset_threshold", float("nan")),
+        ("reset_threshold", float("inf")), ("initial_window", float("nan")),
+        ("initial_window", float("inf")),
+        ("bp_bounds", (float("nan"), 250.0)),
+        ("bp_bounds", (5.0, float("inf")))])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            AlignmentParams(**{field: value})
+
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ConfigurationError):
             AlignmentParams(pitch_aggregation="median")

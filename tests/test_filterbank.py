@@ -206,6 +206,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             FilterbankConfig(reference_freq=-1.0)
 
+    @pytest.mark.parametrize("field", ["frame_rate", "reference_freq"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            FilterbankConfig(**{field: value})
+
 
 @pytest.mark.parametrize("sample_rate", [44100, 48000])
 def test_response_criteria_all_bands(sample_rate):

@@ -160,6 +160,16 @@ class TestFromJson:
         with pytest.raises(ScoreError, match="strictly increasing"):
             from_json(path)
 
+    @pytest.mark.parametrize("beats", [(0.0, float("nan")),
+                                       (0.0, float("inf")),
+                                       (float("-inf"), 0.0)])
+    def test_non_finite_beat_rejected(self, tmp_path, beats):
+        # json writes these as the NaN/Infinity literals json.load accepts
+        path = write_json_score(tmp_path / "nonfinite.json",
+                                [{"beat": b, "pitches": [60]} for b in beats])
+        with pytest.raises(ScoreError, match="non-finite beat"):
+            from_json(path)
+
     def test_empty_score_rejected(self, tmp_path):
         path = write_json_score(tmp_path / "empty.json", [])
         with pytest.raises(ScoreError, match="empty score"):
