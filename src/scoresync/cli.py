@@ -318,6 +318,8 @@ def cmd_synth(args) -> int:
             noise_level=args.noise_level, rng=rng)
     except ValueError as exc:
         return _fail(f"synth: {exc}", EXIT_SCORE)
+    except ConfigurationError as exc:
+        return _fail(f"synth: {exc}", EXIT_CONFIG)
 
     truth_path = args.truth_out or f"{args.out}.truth.csv"
     try:

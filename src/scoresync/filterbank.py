@@ -7,11 +7,19 @@ precision, rectified, and aggregated into frames by the maximum absolute
 value per window, giving an 88 x T activation matrix at (nominally)
 50 frames per second.
 
+A band is filtered in blocks of ``_BLOCK_HOPS`` hops, with the filter
+state carried from block to block, so the result equals one pass over
+the whole signal; each block is reduced to per-hop maxima before the
+next is filtered. Bands run on one thread per available core. Beyond
+the input samples and the output matrix, the front end therefore holds
+one block per thread, however long the recording is.
+
 The hop is ``round(sample_rate / frame_rate)`` and all frame/seconds
 conversions use the effective rate ``sample_rate / hop``, so sample rates
 that do not divide evenly stay exact.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +27,10 @@ from scipy import signal
 
 from .audio_io import AudioBuffer
 from .errors import ConfigurationError, EmptyAudioError, check_finite
+
+# hops per filtering block: small enough to stay in cache, large enough
+# that the per-call cost of lfilter stays small against the filtering
+_BLOCK_HOPS = 256
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,18 @@ def _block_heads(x: np.ndarray, hop: int, width: int) -> np.ndarray:
     return np.append(heads, tail.max()) if len(tail) else heads
 
 
+def _frame_maxima(parts: list[tuple[int, np.ndarray]],
+                  num_frames: int) -> np.ndarray:
+    """Frame t is the maximum of ``part[..., t + k]`` over the ``(k, part)``
+    pairs, each taken where it exists (windows truncated at the end)."""
+    out = np.full(parts[0][1].shape[:-1] + (num_frames,), -np.inf)
+    for k, part in parts:
+        size = max(0, min(num_frames, part.shape[-1] - k))
+        np.maximum(out[..., :size], part[..., k:k + size],
+                   out=out[..., :size])
+    return out
+
+
 def window_max(x: np.ndarray, hop: int, window: int) -> np.ndarray:
     """Frame a 1-D signal into floor(len(x) / hop) window maxima.
 
@@ -187,17 +211,40 @@ def window_max(x: np.ndarray, hop: int, window: int) -> np.ndarray:
     q hops plus r samples is the maximum of q whole-block maxima and the
     head of the next block.
     """
-    num_frames = len(x) // hop
     q, r = divmod(window, hop)
     blocks = _block_heads(x, hop, hop)
     parts = [(k, blocks) for k in range(q)]
     if r:
         parts.append((q, _block_heads(x, hop, r)))
-    out = np.full(num_frames, -np.inf)
-    for k, part in parts:
-        size = max(0, min(num_frames, len(part) - k))
-        np.maximum(out[:size], part[k:k + size], out=out[:size])
-    return out
+    return _frame_maxima(parts, len(x) // hop)
+
+
+def _num_workers(num_bands: int) -> int:
+    """One thread per core this process may run on, at most one per band."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, num_bands)
+
+
+def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
+                 hop: int, out: np.ndarray) -> None:
+    """Write the per-hop maxima of |filtered samples| into ``out``, the
+    partial last hop included.
+
+    The signal is filtered ``_BLOCK_HOPS`` hops at a time, and the lfilter
+    state carries from one block to the next, so the filtered samples are
+    those of a single pass.
+    """
+    b, a = coeffs.ba
+    state = np.zeros(2)
+    step = _BLOCK_HOPS * hop
+    for start in range(0, len(samples), step):
+        y, state = signal.lfilter(b, a, samples[start:start + step],
+                                  zi=state)
+        heads = _block_heads(np.abs(y, out=y), hop, hop)
+        out[start // hop:start // hop + len(heads)] = heads
 
 
 def compute_spectrogram(audio: AudioBuffer,
@@ -207,8 +254,11 @@ def compute_spectrogram(audio: AudioBuffer,
 
     Each band is filtered causally (forward pass, zero initial state); a
     frame holds the maximum of |filtered| over its window. Window width is
-    ``window_factor * hop`` (default: non-overlapping windows).
+    ``window_factor * hop`` (default: non-overlapping windows). Bands are
+    filtered block by block on one thread per available core.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     samples = np.asarray(audio.samples, dtype=np.float64)
     hop = int(round(audio.sample_rate / config.frame_rate))
     num_frames = len(samples) // hop
@@ -218,12 +268,14 @@ def compute_spectrogram(audio: AudioBuffer,
             f"frame of {hop}")
 
     bank = design_filterbank(config, audio.sample_rate)
-    window = hop * config.window_factor
-    values = np.empty((config.num_bands, num_frames))
-    for row, coeffs in enumerate(bank):
-        b, a = coeffs.ba
-        values[row] = window_max(np.abs(signal.lfilter(b, a, samples)),
-                                 hop, window)
+    hop_maxima = np.empty((config.num_bands, -(-len(samples) // hop)))
+    with ThreadPoolExecutor(_num_workers(config.num_bands)) as pool:
+        # reading every result re-raises an exception from a worker
+        list(pool.map(lambda coeffs, row: _filter_band(coeffs, samples,
+                                                       hop, row),
+                      bank, hop_maxima))
+    values = _frame_maxima(
+        [(k, hop_maxima) for k in range(config.window_factor)], num_frames)
 
     return Spectrogram(values=values,
                        frame_rate=audio.sample_rate / hop,

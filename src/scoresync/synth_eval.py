@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .errors import ConfigurationError
 from .filterbank import DEFAULT_CONFIG, FilterbankConfig, center_frequency
 from .score import ScoreSequence
 
@@ -78,8 +79,16 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
     decay; it sounds until the next chord starts (the last chord rings for
     one second). White noise, when requested, is scaled to ``noise_level``
     RMS relative to the clean peak and drawn from ``rng`` so runs stay
-    reproducible. The mix is peak-normalized to 0.9.
+    reproducible. The mix is peak-normalized to 0.9. A sample rate below
+    1 Hz or a negative or non-finite ``noise_level`` raises
+    ConfigurationError.
     """
+    if not sample_rate >= 1:
+        raise ConfigurationError(
+            f"sample_rate must be at least 1 Hz, got {sample_rate}")
+    if not (np.isfinite(noise_level) and noise_level >= 0.0):
+        raise ConfigurationError(
+            f"noise_level must be finite and non-negative, got {noise_level}")
     truth = [beat_to_seconds(o.beat, tempo_map) for o in score.onsets]
     total = truth[-1] + LAST_CHORD_DURATION_S
     n = int(np.ceil(total * sample_rate))

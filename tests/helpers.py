@@ -1,5 +1,6 @@
-"""Shared test utilities: WAV/SMF builders, random instances, and an
-exhaustive path-enumeration oracle for the aligner."""
+"""Shared test utilities: WAV/SMF builders, random instances, a
+full-length filterbank oracle, and an exhaustive path-enumeration oracle
+for the aligner."""
 
 import math
 import struct
@@ -8,7 +9,9 @@ import numpy as np
 from scipy import signal
 
 from scoresync import (AlignmentParams, FeaturePair, ScoreOnset,
-                       ScoreSequence, Spectrogram, TempoMap)
+                       ScoreSequence, Spectrogram, TempoMap,
+                       design_filterbank)
+from scoresync.filterbank import window_max
 
 # --- WAV construction -------------------------------------------------
 
@@ -111,6 +114,20 @@ def warped_center(lo, hi, sample_rate):
     w_hi = 2.0 * sample_rate * np.tan(np.pi * hi / sample_rate)
     return sample_rate / np.pi * np.arctan(np.sqrt(w_lo * w_hi)
                                            / (2.0 * sample_rate))
+
+
+def reference_spectrogram(audio, config):
+    """Full-length oracle for ``compute_spectrogram(audio, config).values``:
+    one lfilter pass per band over the whole signal, ``np.abs``, then
+    ``window_max``."""
+    samples = np.asarray(audio.samples, dtype=np.float64)
+    hop = int(round(audio.sample_rate / config.frame_rate))
+    rows = []
+    for coeffs in design_filterbank(config, audio.sample_rate):
+        b, a = coeffs.ba
+        rows.append(window_max(np.abs(signal.lfilter(b, a, samples)), hop,
+                               hop * config.window_factor))
+    return np.array(rows)
 
 
 # --- feature / score factories -----------------------------------------

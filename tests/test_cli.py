@@ -51,6 +51,19 @@ class TestSynth:
         assert main(["synth", "--score", score_path, "--tempo", "1:120",
                      "--out", str(tmp_path / "x.wav")]) == EXIT_SCORE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-level", "nan"), ("--noise-level", "inf"),
+        ("--noise-level", "-0.01"), ("--sample-rate", "0"),
+        ("--sample-rate", "-8000")])
+    def test_invalid_level_or_rate_is_config_error(self, score_path,
+                                                    tmp_path, capsys, flag,
+                                                    value):
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", score_path, "--out", str(out),
+                     flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("scoresync: synth: ")
+        assert not out.exists()
+
 
 class TestAlign:
     def test_alignment_csv_row_per_onset(self, piece, tmp_path):

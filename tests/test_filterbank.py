@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -6,9 +9,11 @@ from scoresync import (AudioBuffer, ConfigurationError, EmptyAudioError,
                        FilterbankConfig, band_edges, center_frequency,
                        compute_spectrogram, design_bandpass,
                        design_filterbank)
+from scoresync import filterbank
 from scoresync.filterbank import window_max
 
-from helpers import magnitude_db, reference_bandpass, warped_center
+from helpers import (magnitude_db, reference_bandpass, reference_spectrogram,
+                     warped_center)
 
 
 class TestCenterFrequency:
@@ -193,6 +198,80 @@ class TestComputeSpectrogram:
                                    FilterbankConfig(window_factor=2))
         assert wide.values.shape == narrow.values.shape
         assert np.all(wide.values >= narrow.values)
+
+
+class TestBlockwiseFiltering:
+    """Block-wise, threaded filtering gives exactly the values of one
+    full-length pass per band."""
+
+    SAMPLE_RATE = 11025
+    HOP = 220  # round(11025 / 50)
+
+    def assert_matches_oracle(self, samples, config=FilterbankConfig()):
+        audio = AudioBuffer(samples, self.SAMPLE_RATE)
+        values = compute_spectrogram(audio, config).values
+        assert np.array_equal(values, reference_spectrogram(audio, config))
+        return values
+
+    @staticmethod
+    def use_block_hops(monkeypatch, block_hops):
+        """Patch ``_BLOCK_HOPS`` unless None; return the value in force."""
+        if block_hops is None:
+            return filterbank._BLOCK_HOPS
+        monkeypatch.setattr(filterbank, "_BLOCK_HOPS", block_hops)
+        return block_hops
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("block_hops", [1, 2, 3, None])
+    def test_matches_full_length_oracle(self, monkeypatch, block_hops,
+                                        factor):
+        block_hops = self.use_block_hops(monkeypatch, block_hops)
+        rng = np.random.default_rng([block_hops, factor])
+        config = FilterbankConfig(window_factor=factor)
+        whole = (2 * block_hops + 1) * self.HOP
+        # a short signal, and three blocks with the last one partial;
+        # ragged lengths leave a partial last hop
+        for length in (self.HOP + 5, whole, whole + 1,
+                       whole + self.HOP - 1):
+            self.assert_matches_oracle(rng.uniform(-0.5, 0.5, length),
+                                       config)
+
+    @pytest.mark.parametrize("block_hops", [2, None])
+    def test_state_carries_across_block_edge(self, monkeypatch, block_hops):
+        block_hops = self.use_block_hops(monkeypatch, block_hops)
+        samples = np.zeros(3 * block_hops * self.HOP)
+        samples[block_hops * self.HOP - 1] = 1.0  # last sample of block 0
+        values = self.assert_matches_oracle(samples)
+        # the frame after the edge holds only the ringing of the impulse,
+        # which a reset filter state would zero
+        assert values[:, block_hops].all()
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_matches_oracle_with_one_or_more_workers_than_cores(
+            self, monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(filterbank, "_BLOCK_HOPS", 2)
+        assert filterbank._num_workers(88) == cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = np.random.default_rng(cores)
+            self.assert_matches_oracle(
+                rng.uniform(-0.5, 0.5, 7 * self.HOP + 3))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_per_core_at_most_one_per_band(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        assert filterbank._num_workers(88) == 4
+        assert filterbank._num_workers(3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert filterbank._num_workers(88) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert filterbank._num_workers(88) == 1
 
 
 class TestConfigValidation:

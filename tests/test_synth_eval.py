@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoresync import TempoMap, beat_to_seconds, evaluate, synthesize
+from scoresync import (ConfigurationError, TempoMap, beat_to_seconds,
+                       evaluate, synthesize)
 from scoresync.synth_eval import ERROR_THRESHOLDS_MS
 
 from helpers import make_score
@@ -96,6 +97,18 @@ class TestSynthesize:
         score = make_score([0.0, 2.0, 4.0], [[60], [64], [67]])
         _, truth = synthesize(score, tempo((0.0, 120.0), (2.0, 60.0)))
         assert truth == pytest.approx([0.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -0.01])
+    def test_invalid_noise_level_rejected(self, level):
+        score = make_score([0.0], [[60]])
+        with pytest.raises(ConfigurationError, match="noise_level"):
+            synthesize(score, tempo((0.0, 120.0)), noise_level=level)
+
+    @pytest.mark.parametrize("rate", [0, -22050, 0.5, float("nan")])
+    def test_sample_rate_below_one_hz_rejected(self, rate):
+        score = make_score([0.0], [[60]])
+        with pytest.raises(ConfigurationError, match="sample_rate"):
+            synthesize(score, tempo((0.0, 120.0)), sample_rate=rate)
 
 
 class TestEvaluate:
