@@ -198,10 +198,12 @@ def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray
     return out
 
 
-def _chord_cost_vectors(onsets_values: np.ndarray, spec_values: np.ndarray,
-                        rows: np.ndarray, params: AlignmentParams
+def _chord_cost_vectors(onsets_values: np.ndarray,
+                        sustained: dict[int, np.ndarray], rows: np.ndarray,
+                        params: AlignmentParams
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame onset and sustained-spectral costs for one chord.
+    """Per-frame onset and sustained-spectral costs for one chord, from
+    the ``_sustained_spec`` vectors of its band rows.
 
     Pitches accumulate in row order; keep that order fixed, results must be
     bit-reproducible against scalar re-evaluation.
@@ -212,7 +214,7 @@ def _chord_cost_vectors(onsets_values: np.ndarray, spec_values: np.ndarray,
         csp = np.zeros(n)
         for r in rows:
             con += 1.0 - onsets_values[r]
-            csp += 1.0 - _sustained_spec(spec_values, r, params.sustain_frames)
+            csp += 1.0 - sustained[r]
         con /= len(rows)
         csp /= len(rows)
     else:
@@ -220,10 +222,7 @@ def _chord_cost_vectors(onsets_values: np.ndarray, spec_values: np.ndarray,
         csp = np.full(n, np.inf)
         for r in rows:
             np.minimum(con, 1.0 - onsets_values[r], out=con)
-            np.minimum(csp,
-                       1.0 - _sustained_spec(spec_values, r,
-                                             params.sustain_frames),
-                       out=csp)
+            np.minimum(csp, 1.0 - sustained[r], out=csp)
     return con, csp
 
 
@@ -265,6 +264,9 @@ def align(score: ScoreSequence, features: FeaturePair,
         np.array([features.onsets.pitch_row(p) for p in o.pitches])
         for o in score.onsets
     ]
+    # once per distinct band row, however many chords share it
+    sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
+                 for r in np.unique(np.concatenate(chord_rows))}
 
     d = np.full((m + 1, n), np.inf)
     back = np.full((m + 1, n), -1, dtype=np.int32)
@@ -272,7 +274,7 @@ def align(score: ScoreSequence, features: FeaturePair,
     bp_row = np.full(n, float(params.bp_init))
 
     for target in range(m):
-        con, csp = _chord_cost_vectors(onsets_values, spec_values,
+        con, csp = _chord_cost_vectors(onsets_values, sustained,
                                        chord_rows[target], params)
         if target == 0:
             # virtual start at frame 0: scan the opening window, stretch

@@ -116,18 +116,23 @@ def warped_center(lo, hi, sample_rate):
                                            / (2.0 * sample_rate))
 
 
-def reference_spectrogram(audio, config):
-    """Full-length oracle for ``compute_spectrogram(audio, config).values``:
-    one lfilter pass per band over the whole signal, ``np.abs``, then
-    ``window_max``."""
+def reference_spectrogram(audio, config, q=1):
+    """Full-length oracle for ``compute_spectrogram(audio, config).values``
+    at decimation factor ``q``: ``resample_poly`` by ``q`` (skipped at 1),
+    one lfilter pass per band designed at ``sample_rate / q`` over the
+    whole signal, ``np.abs``, then ``window_max`` with the hop ``hop // q``,
+    cut to the ``len(samples) // hop`` frames of the input."""
     samples = np.asarray(audio.samples, dtype=np.float64)
     hop = int(round(audio.sample_rate / config.frame_rate))
+    num_frames = len(samples) // hop
+    if q > 1:
+        samples = signal.resample_poly(samples, 1, q)
     rows = []
-    for coeffs in design_filterbank(config, audio.sample_rate):
+    for coeffs in design_filterbank(config, audio.sample_rate / q):
         b, a = coeffs.ba
-        rows.append(window_max(np.abs(signal.lfilter(b, a, samples)), hop,
-                               hop * config.window_factor))
-    return np.array(rows)
+        rows.append(window_max(np.abs(signal.lfilter(b, a, samples)),
+                               hop // q, hop // q * config.window_factor))
+    return np.array(rows)[:, :num_frames]
 
 
 # --- feature / score factories -----------------------------------------

@@ -118,17 +118,30 @@ class TestAlign:
                          piece["score"], "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_align_from_full_precision_dump_matches(self, piece, tmp_path):
+    @staticmethod
+    def _assert_dump_round_trip(wav, score, tmp_path):
         raw = tmp_path / "raw.csv"
         direct = tmp_path / "direct.csv"
         from_dump = tmp_path / "from_dump.csv"
-        assert main(["features", "--audio", piece["wav"], "--feature", "raw",
+        assert main(["features", "--audio", wav, "--feature", "raw",
                      "--precision", "full", "--out", str(raw)]) == 0
-        assert main(["align", "--audio", piece["wav"], "--score",
-                     piece["score"], "--out", str(direct)]) == 0
-        assert main(["align", "--features", str(raw), "--score",
-                     piece["score"], "--out", str(from_dump)]) == 0
+        assert main(["align", "--audio", wav, "--score", score,
+                     "--out", str(direct)]) == 0
+        assert main(["align", "--features", str(raw), "--score", score,
+                     "--out", str(from_dump)]) == 0
         assert direct.read_bytes() == from_dump.read_bytes()
+
+    def test_align_from_full_precision_dump_matches(self, piece, tmp_path):
+        self._assert_dump_round_trip(piece["wav"], piece["score"], tmp_path)
+
+    def test_align_from_full_precision_dump_matches_at_44k(self, score_path,
+                                                           tmp_path):
+        # at 44.1 kHz the filterbank runs on audio decimated by 3
+        wav = str(tmp_path / "piece44k.wav")
+        assert main(["synth", "--score", score_path, "--tempo", "0:120",
+                     "--noise-level", "0.01", "--seed", "7",
+                     "--sample-rate", "44100", "--out", wav]) == 0
+        self._assert_dump_round_trip(wav, score_path, tmp_path)
 
     def _dump_rows(self, piece, tmp_path):
         raw = tmp_path / "raw.csv"

@@ -6,14 +6,15 @@ import pytest
 from scipy import signal
 
 from scoresync import (AudioBuffer, ConfigurationError, EmptyAudioError,
-                       FilterbankConfig, band_edges, center_frequency,
+                       FilterbankConfig, align, band_edges, center_frequency,
                        compute_spectrogram, design_bandpass,
-                       design_filterbank)
+                       design_filterbank, evaluate, extract_features,
+                       synthesize)
 from scoresync import filterbank
 from scoresync.filterbank import window_max
 
-from helpers import (magnitude_db, reference_bandpass, reference_spectrogram,
-                     warped_center)
+from helpers import (magnitude_db, random_piece, reference_bandpass,
+                     reference_spectrogram, warped_center)
 
 
 class TestCenterFrequency:
@@ -274,6 +275,63 @@ class TestBlockwiseFiltering:
         assert filterbank._num_workers(88) == 1
 
 
+class TestDecimatedFiltering:
+    """Where a factor q > 1 divides the hop, the signal is resampled to
+    1/q of its rate before filtering, and the spectrogram is exactly that
+    of one full-length pass per band over the resampled signal."""
+
+    @pytest.mark.parametrize("sample_rate, q", [
+        (44100, 3), (48000, 4), (96000, 8), (22050, 1), (11025, 1),
+        (8000, 1)])
+    def test_factor_divides_hop_and_keeps_top_band(self, sample_rate, q):
+        config = FilterbankConfig()
+        hop = int(round(sample_rate / config.frame_rate))
+        assert filterbank._decimation_factor(sample_rate, hop, config) == q
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("block_hops", [1, 2, None])
+    @pytest.mark.parametrize("sample_rate, q", [(44100, 3), (48000, 4)])
+    def test_matches_full_length_oracle(self, monkeypatch, sample_rate, q,
+                                        block_hops, factor):
+        block_hops = TestBlockwiseFiltering.use_block_hops(monkeypatch,
+                                                           block_hops)
+        rng = np.random.default_rng([sample_rate, block_hops, factor])
+        config = FilterbankConfig(window_factor=factor)
+        hop = int(round(sample_rate / config.frame_rate))
+        whole = (2 * block_hops + 1) * hop
+        # lengths that leave a partial last hop also leave a partial last
+        # group of q samples
+        for length in (hop + 5, whole, whole + 1, whole + hop - 1):
+            audio = AudioBuffer(rng.uniform(-0.5, 0.5, length), sample_rate)
+            values = compute_spectrogram(audio, config).values
+            assert values.shape == (88, length // hop)
+            assert np.array_equal(values,
+                                  reference_spectrogram(audio, config, q))
+
+    def test_scaling_input_scales_output_exactly(self):
+        rng = np.random.default_rng(6)
+        samples = rng.uniform(-0.4, 0.4, 44100)
+        a = compute_spectrogram(AudioBuffer(samples, 44100))
+        b = compute_spectrogram(AudioBuffer(2.0 * samples, 44100))
+        assert np.array_equal(b.values, 2.0 * a.values)
+
+    def test_end_to_end_accuracy_at_44k(self):
+        """Pooled over seeded pieces rendered at 44.1 kHz: median error
+        <= 20 ms, >= 90% of onsets below 50 ms, mean <= 40 ms (the bounds
+        of the 22.05 kHz synthetic suite)."""
+        errors = []
+        for seed in range(1000, 1004):
+            score, tempo_map, rng = random_piece(seed=seed)
+            audio, truth = synthesize(score, tempo_map, sample_rate=44100,
+                                      noise_level=0.01, rng=rng)
+            result = align(score, extract_features(compute_spectrogram(audio)))
+            errors.extend(evaluate(result.times, truth).errors_ms)
+        errors = np.asarray(errors)
+        assert np.median(errors) <= 20.0
+        assert np.mean(errors < 50.0) >= 0.9
+        assert errors.mean() <= 40.0
+
+
 class TestConfigValidation:
     def test_band_range_beyond_midi_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -292,7 +350,8 @@ class TestConfigValidation:
             FilterbankConfig(**{field: value})
 
 
-@pytest.mark.parametrize("sample_rate", [44100, 48000])
+# 14700 and 12000 Hz are the decimated rates of 44.1 and 48 kHz
+@pytest.mark.parametrize("sample_rate", [44100, 48000, 14700, 12000])
 def test_response_criteria_all_bands(sample_rate):
     """Every default band: stable poles, warped center within 1 dB of the
     peak, quarter-tone edges at -3 dB (within 1 dB) of the peak."""
