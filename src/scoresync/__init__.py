@@ -7,8 +7,7 @@ that tracks a per-path beat period.
 """
 
 from .audio_io import AudioBuffer, load_wav
-from .dp_align import (AlignmentParams, AlignmentResult, align, backtrack,
-                       compute_frame_window, prune_row, stretch_cost,
+from .dp_align import (AlignmentParams, AlignmentResult, align, stretch_cost,
                        update_beat_period)
 from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      InfeasiblePathError, ScoreError, ScoreSyncError,
@@ -26,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer", "load_wav",
-    "AlignmentParams", "AlignmentResult", "align", "backtrack",
-    "compute_frame_window", "prune_row", "stretch_cost", "update_beat_period",
+    "AlignmentParams", "AlignmentResult", "align", "stretch_cost",
+    "update_beat_period",
     "FeaturePair", "extract_features", "normalize_bins", "superflux_onsets",
     "BandpassCoefficients", "FilterbankConfig", "Spectrogram",
     "band_edges", "center_frequency", "compute_spectrogram",

@@ -9,12 +9,16 @@ Every cell carries its own beat-period estimate (frames per beat), smoothed
 after each accepted transition, so the stretch penalty tracks local tempo
 instead of assuming a global one.
 
-A virtual start state precedes the first chord: the first transition scans
-a fixed-length opening window with no stretch charge, since leading silence
-says nothing about tempo. After each row the accumulated costs can be
-pruned against the row minimum (``reset_threshold``), which bounds the work
-per chord; with a beam the time grows linearly with the recording length,
-without one it grows with the number of (source, candidate) window pairs.
+The cost and backpointer tables are M x N: row r holds the placements of
+chord r. Chord 0 is reached from a virtual start at frame 0, which needs
+no row of its own: it scans a fixed-length opening window with no stretch
+charge, since leading silence says nothing about tempo. After each row the
+accumulated costs can be pruned against the row minimum
+(``reset_threshold``), which bounds the work per chord; with a beam the
+time grows linearly with the recording length, without one it grows with
+the number of (source, candidate) window pairs. The path is read off the
+backpointers, from the cheapest cell of the last row (the smallest frame
+on a tie) down to row 1; the source of row 0 is always the virtual start.
 
 Each row is relaxed in one vectorized pass. The windows of all finite
 source cells are computed at once and expanded into (source, destination)
@@ -100,19 +104,6 @@ class AlignmentParams:
             raise ConfigurationError("max_window_frames must be >= 1")
 
 
-@dataclass
-class DPState:
-    """Accumulated costs and int32 backpointers, (M+1) x N.
-
-    Row 0 is the virtual start state; row r >= 1 belongs to score onset
-    r - 1. Backpointer -1 marks an unreached cell.
-    """
-
-    d: np.ndarray
-    back: np.ndarray
-    score: ScoreSequence
-
-
 @dataclass(frozen=True)
 class AlignmentEntry:
     score_index: int
@@ -153,14 +144,6 @@ def _frame_windows(j, bp, dscore: float, params: AlignmentParams,
     if params.max_window_frames is not None:
         hi = np.minimum(hi, lo + params.max_window_frames - 1)
     return lo, np.minimum(hi, num_frames - 1)
-
-
-def compute_frame_window(j: int, bp: float, dscore: float,
-                         params: AlignmentParams, num_frames: int) -> range:
-    """Candidate target frames for a transition out of frame j, as a range
-    (see ``_frame_windows``); it may come out empty."""
-    lo, hi = _frame_windows(j, bp, dscore, params, num_frames)
-    return range(int(lo), int(hi) + 1)
 
 
 def stretch_cost(dframes, bp, dscore: float, params: AlignmentParams):
@@ -226,18 +209,6 @@ def _chord_cost_vectors(onsets_values: np.ndarray,
     return con, csp
 
 
-def prune_row(row: np.ndarray, reset_threshold: float | None) -> np.ndarray:
-    """Mask every cost above the row minimum plus the threshold to infinity.
-
-    With no threshold the row passes through unchanged.
-    """
-    if reset_threshold is None:
-        return row
-    out = row.copy()
-    out[out > row.min() + reset_threshold] = np.inf
-    return out
-
-
 def align(score: ScoreSequence, features: FeaturePair,
           params: AlignmentParams | None = None) -> AlignmentResult:
     """Assign an audio frame to every score onset.
@@ -268,47 +239,57 @@ def align(score: ScoreSequence, features: FeaturePair,
     sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
                  for r in np.unique(np.concatenate(chord_rows))}
 
-    d = np.full((m + 1, n), np.inf)
-    back = np.full((m + 1, n), -1, dtype=np.int32)
-    d[0, 0] = 0.0
+    d = np.full((m, n), np.inf)
+    back = np.full((m, n), -1, dtype=np.int32)
     bp_row = np.full(n, float(params.bp_init))
 
     for target in range(m):
         con, csp = _chord_cost_vectors(onsets_values, sustained,
                                        chord_rows[target], params)
+        w_con = params.w_onset * con
+        w_csp = params.w_spec * csp
         if target == 0:
-            # virtual start at frame 0: scan the opening window, stretch
-            # cost zero, beat period left at bp_init
+            # the virtual start (cost 0.0 at frame 0) reaches the opening
+            # window with no stretch charge and the beat period left at
+            # bp_init; fmin keeps a NaN step from winning
             hi = min(n - 1, math.floor(params.initial_window * rate))
             sl = slice(0, hi + 1)
-            step = params.w_onset * con[sl]
-            step = step + params.w_spec * csp[sl]
-            cand = d[0, 0] + step
-            seg = d[1, sl]
-            better = cand < seg
-            seg[better] = cand[better]
-            back[1, sl][better] = 0
+            np.fmin(d[0, sl], 0.0 + (w_con[sl] + w_csp[sl]), out=d[0, sl])
         else:
             dscore = beats[target] - beats[target - 1]
-            bp_row = _relax_row(d[target], bp_row, d[target + 1],
-                                back[target + 1], con, csp, dscore, params)
+            bp_row = _relax_row(d[target - 1], bp_row, d[target],
+                                back[target], w_con, w_csp, dscore, params)
 
-        if not np.isfinite(d[target + 1]).any():
+        row = d[target]
+        if not np.isfinite(row).any():
             raise InfeasiblePathError(
                 f"no feasible frame for score onset {target} "
                 f"(beat {beats[target]:g})", score_index=target)
         if params.reset_threshold is not None:
-            d[target + 1] = prune_row(d[target + 1], params.reset_threshold)
+            row[row > row.min() + params.reset_threshold] = np.inf
 
-    return backtrack(DPState(d=d, back=back, score=score), rate)
+    frames = [0] * m
+    frames[-1] = int(np.argmin(d[-1]))  # first occurrence: smallest frame
+    for target in range(m - 1, 0, -1):
+        frames[target - 1] = int(back[target, frames[target]])
+    entries = [AlignmentEntry(score_index=idx, beat=onset.beat,
+                              pitches=onset.pitches, frame=frame,
+                              time_s=frame / rate,
+                              cumulative_cost=float(d[idx, frame]))
+               for idx, (onset, frame) in enumerate(zip(score.onsets,
+                                                        frames))]
+    return AlignmentResult(entries=entries,
+                           total_cost=entries[-1].cumulative_cost,
+                           effective_frame_rate=rate)
 
 
 def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
-               b_dst: np.ndarray, con: np.ndarray, csp: np.ndarray,
+               b_dst: np.ndarray, w_con: np.ndarray, w_csp: np.ndarray,
                dscore: float, params: AlignmentParams) -> np.ndarray:
     """Relax every window pair out of the finite cells of ``d_src`` into
-    ``d_dst``/``b_dst`` (updated in place); returns the beat periods of
-    the destination row.
+    ``d_dst``/``b_dst`` (updated in place), charging the weighted chord
+    costs ``w_con``/``w_csp`` of each destination; returns the beat
+    periods of the destination row.
 
     Pairs run in ascending source order, ``_PAIR_CHUNK`` at a time. A
     chunk wins a destination with its smallest candidate, taken by the
@@ -327,8 +308,6 @@ def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
     shift = lo - starts  # destination of pair p is p + shift[source]
     bp_s = bp_src[src]
     d_s = d_src[src]
-    w_con = params.w_onset * con
-    w_csp = params.w_spec * csp
 
     for p0 in range(0, total, _PAIR_CHUNK):
         p1 = min(p0 + _PAIR_CHUNK, total)
@@ -361,33 +340,3 @@ def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
         bp_dst[won] = update_beat_period(dframes[pair], dscore, bp[pair],
                                          params)
     return bp_dst
-
-
-def backtrack(state: DPState, effective_frame_rate: float) -> AlignmentResult:
-    """Read the alignment off the backpointers, starting from the cheapest
-    cell of the final row (ties resolved toward the smaller frame)."""
-    d = state.d
-    back = state.back
-    m = d.shape[0] - 1
-    j = int(np.argmin(d[m]))  # first occurrence = smallest frame on ties
-    if not np.isfinite(d[m, j]):
-        raise InfeasiblePathError("no finite cost in the final row",
-                                  score_index=m - 1)
-    frames = [0] * m
-    for row in range(m, 0, -1):
-        frames[row - 1] = j
-        j = int(back[row, j])
-
-    entries = []
-    for idx, frame in enumerate(frames):
-        onset = state.score.onsets[idx]
-        entries.append(AlignmentEntry(
-            score_index=idx,
-            beat=onset.beat,
-            pitches=onset.pitches,
-            frame=frame,
-            time_s=frame / effective_frame_rate,
-            cumulative_cost=float(d[idx + 1, frame])))
-    return AlignmentResult(entries=entries,
-                           total_cost=float(d[m, frames[-1]]),
-                           effective_frame_rate=effective_frame_rate)

@@ -33,14 +33,26 @@ class FeaturePair:
         return self.onsets.frame_rate
 
 
+def _band_maxima(m: Spectrogram) -> np.ndarray:
+    """Maximum of each band over time; ValueError naming the pitch of the
+    first band whose maximum is NaN or +inf."""
+    row_max = m.values.max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(row_max))
+    if len(bad):
+        raise ValueError(f"band of MIDI pitch {m.band_pitches[bad[0]]} "
+                         f"holds a non-finite value")
+    return row_max
+
+
 def normalize_bins(m: Spectrogram) -> Spectrogram:
     """Scale each band to a maximum of one over time.
 
     Bands whose maximum is at or below SILENT_BIN_EPS come out all-zero
-    (never divided, so silence cannot produce NaN or amplified noise).
+    (never divided, so silence cannot produce NaN or amplified noise). A
+    band holding NaN or +inf raises ValueError naming its pitch.
     """
     values = m.values.copy()
-    row_max = values.max(axis=1)
+    row_max = _band_maxima(m)
     live = row_max > SILENT_BIN_EPS
     values[live] /= row_max[live, np.newaxis]
     values[~live] = 0.0
@@ -70,6 +82,11 @@ def superflux_onsets(raw: Spectrogram, lag: int = 1) -> Spectrogram:
 
 
 def extract_features(raw: Spectrogram, lag: int = 1) -> FeaturePair:
-    """Build the normalized onset/spectral feature pair from a raw spectrogram."""
+    """Build the normalized onset/spectral feature pair from a raw spectrogram.
+
+    The raw bands are checked first, so a NaN or +inf raw band is named
+    itself, not a neighbor that the onset max filter spread it to.
+    """
+    _band_maxima(raw)
     return FeaturePair(onsets=superflux_onsets(raw, lag=lag),
                        spec=normalize_bins(raw))

@@ -18,15 +18,18 @@ decimated rate with the hop ``hop // q``.
 
 A band is filtered in blocks of ``_BLOCK_HOPS`` hops, with the filter
 state carried from block to block, so the result equals one pass over
-the whole signal; each block is reduced to per-hop maxima before the
-next is filtered. Bands run on one thread per available core. Beyond
-the input samples and the output matrix, the front end therefore holds
-the 1/q decimated copy (none when ``q == 1``) and one block per thread,
-however long the recording is.
+the whole signal; each block is reduced to per-hop maxima
+(``_block_heads``) before the next is filtered. Frame t is then the
+maximum of hops t .. t + window_factor - 1 of that band x hop matrix
+(``_frame_maxima``), truncated at the end of the signal. Bands run on
+one thread per available core. Beyond the input samples and the output
+matrix, the front end therefore holds the 1/q decimated copy (none when
+``q == 1``) and one block per thread, however long the recording is.
 
-The hop is ``round(sample_rate / frame_rate)`` and all frame/seconds
-conversions use the effective rate ``sample_rate / hop``, so sample rates
-that do not divide evenly stay exact.
+The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
+makes it 0 (above twice the sample rate) is a ConfigurationError. All
+frame/seconds conversions use the effective rate ``sample_rate / hop``,
+so sample rates that do not divide evenly stay exact.
 """
 
 import os
@@ -196,41 +199,26 @@ def design_filterbank(config: FilterbankConfig,
     return bank
 
 
-def _block_heads(x: np.ndarray, hop: int, width: int) -> np.ndarray:
-    """Maximum over the first ``width`` samples of every hop-sized block,
-    the partial block at the end of the signal included."""
+def _block_heads(x: np.ndarray, hop: int) -> np.ndarray:
+    """Maximum of every hop-sized block, the partial block at the end of
+    the signal included."""
     full = len(x) // hop
-    heads = x[:full * hop].reshape(full, hop)[:, :width].max(axis=1)
-    tail = x[full * hop:full * hop + width]
+    heads = x[:full * hop].reshape(full, hop).max(axis=1)
+    tail = x[full * hop:]
     return np.append(heads, tail.max()) if len(tail) else heads
 
 
-def _frame_maxima(parts: list[tuple[int, np.ndarray]],
+def _frame_maxima(hop_maxima: np.ndarray, window_factor: int,
                   num_frames: int) -> np.ndarray:
-    """Frame t is the maximum of ``part[..., t + k]`` over the ``(k, part)``
-    pairs, each taken where it exists (windows truncated at the end)."""
-    out = np.full(parts[0][1].shape[:-1] + (num_frames,), -np.inf)
-    for k, part in parts:
-        size = max(0, min(num_frames, part.shape[-1] - k))
-        np.maximum(out[..., :size], part[..., k:k + size],
+    """Frame t is the maximum of ``hop_maxima[..., t:t + window_factor]``,
+    the window truncated at the end."""
+    out = np.full(hop_maxima.shape[:-1] + (num_frames,), -np.inf)
+    # offsets past the last hop add nothing to any frame
+    for k in range(min(window_factor, hop_maxima.shape[-1])):
+        size = min(num_frames, hop_maxima.shape[-1] - k)
+        np.maximum(out[..., :size], hop_maxima[..., k:k + size],
                    out=out[..., :size])
     return out
-
-
-def window_max(x: np.ndarray, hop: int, window: int) -> np.ndarray:
-    """Frame a 1-D signal into floor(len(x) / hop) window maxima.
-
-    Frame t covers samples [t * hop, t * hop + window), truncated at the
-    end of the signal when the window is wider than the hop. A window of
-    q hops plus r samples is the maximum of q whole-block maxima and the
-    head of the next block.
-    """
-    q, r = divmod(window, hop)
-    blocks = _block_heads(x, hop, hop)
-    parts = [(k, blocks) for k in range(q)]
-    if r:
-        parts.append((q, _block_heads(x, hop, r)))
-    return _frame_maxima(parts, len(x) // hop)
 
 
 def _num_workers(num_bands: int) -> int:
@@ -269,7 +257,7 @@ def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
     for start in range(0, len(samples), step):
         y, state = signal.lfilter(b, a, samples[start:start + step],
                                   zi=state)
-        heads = _block_heads(np.abs(y, out=y), hop, hop)
+        heads = _block_heads(np.abs(y, out=y), hop)
         out[start // hop:start // hop + len(heads)] = heads
 
 
@@ -292,6 +280,10 @@ def compute_spectrogram(audio: AudioBuffer,
 
     samples = np.asarray(audio.samples, dtype=np.float64)
     hop = int(round(audio.sample_rate / config.frame_rate))
+    if hop < 1:
+        raise ConfigurationError(
+            f"frame rate {config.frame_rate:g} Hz gives a hop of 0 samples "
+            f"at {audio.sample_rate:g} Hz")
     num_frames = len(samples) // hop
     if num_frames == 0:
         raise EmptyAudioError(
@@ -310,8 +302,7 @@ def compute_spectrogram(audio: AudioBuffer,
         list(pool.map(lambda coeffs, row: _filter_band(coeffs, samples,
                                                        filter_hop, row),
                       bank, hop_maxima))
-    values = _frame_maxima(
-        [(k, hop_maxima) for k in range(config.window_factor)], num_frames)
+    values = _frame_maxima(hop_maxima, config.window_factor, num_frames)
 
     return Spectrogram(values=values,
                        frame_rate=audio.sample_rate / hop,

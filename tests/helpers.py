@@ -11,7 +11,6 @@ from scipy import signal
 from scoresync import (AlignmentParams, FeaturePair, ScoreOnset,
                        ScoreSequence, Spectrogram, TempoMap,
                        design_filterbank)
-from scoresync.filterbank import window_max
 
 # --- WAV construction -------------------------------------------------
 
@@ -120,19 +119,21 @@ def reference_spectrogram(audio, config, q=1):
     """Full-length oracle for ``compute_spectrogram(audio, config).values``
     at decimation factor ``q``: ``resample_poly`` by ``q`` (skipped at 1),
     one lfilter pass per band designed at ``sample_rate / q`` over the
-    whole signal, ``np.abs``, then ``window_max`` with the hop ``hop // q``,
-    cut to the ``len(samples) // hop`` frames of the input."""
+    whole signal, ``np.abs``, then for each of the ``len(samples) // hop``
+    frames of the input the maximum over its own slice
+    ``[t * h, t * h + h * window_factor)`` with ``h = hop // q``."""
     samples = np.asarray(audio.samples, dtype=np.float64)
     hop = int(round(audio.sample_rate / config.frame_rate))
     num_frames = len(samples) // hop
     if q > 1:
         samples = signal.resample_poly(samples, 1, q)
-    rows = []
-    for coeffs in design_filterbank(config, audio.sample_rate / q):
-        b, a = coeffs.ba
-        rows.append(window_max(np.abs(signal.lfilter(b, a, samples)),
-                               hop // q, hop // q * config.window_factor))
-    return np.array(rows)[:, :num_frames]
+    y = np.array([np.abs(signal.lfilter(*coeffs.ba, samples))
+                  for coeffs in design_filterbank(config,
+                                                  audio.sample_rate / q)])
+    h = hop // q
+    w = h * config.window_factor
+    return np.array([y[:, t * h:t * h + w].max(axis=1)
+                     for t in range(num_frames)]).T
 
 
 # --- feature / score factories -----------------------------------------
@@ -156,11 +157,12 @@ def make_score(beats, pitch_sets):
 
 
 def random_instance(rng, max_chords=3, num_frames=None, num_bands=6,
-                    midi_low=60):
+                    midi_low=60, num_chords=None):
     """Random small alignment problem plus random valid parameters."""
     n = int(num_frames if num_frames is not None
             else rng.integers(8, 16))
-    m = int(rng.integers(1, max_chords + 1))
+    m = int(num_chords if num_chords is not None
+            else rng.integers(1, max_chords + 1))
     beats = np.cumsum(rng.uniform(0.4, 1.0, size=m))
     pitch_sets = [
         rng.choice(np.arange(midi_low, midi_low + num_bands),

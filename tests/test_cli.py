@@ -181,6 +181,16 @@ class TestAlign:
         assert main(["align", "--audio", piece["wav"], "--score",
                      piece["score"], flag, value]) == EXIT_CONFIG
 
+    def test_frame_rate_above_twice_sample_rate_is_config_error(
+            self, piece, tmp_path, capsys):
+        out = tmp_path / "alignment.csv"
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--frame-rate", "1e9",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "scoresync: filterbank: frame rate 1e+09 Hz gives a hop of 0")
+        assert not out.exists()
+
     def test_audio_and_features_mutually_exclusive(self, piece):
         with pytest.raises(SystemExit) as excinfo:
             main(["align", "--audio", piece["wav"], "--features", "x.csv",
@@ -215,6 +225,15 @@ class TestFeatures:
                 for line in out.read_text().splitlines()[1:]]
         sums = np.array([[float(v) for v in row] for row in rows]).sum(axis=0)
         assert sums.argmax() == 69 - 21
+
+    def test_frame_rate_above_twice_sample_rate_is_config_error(
+            self, piece, tmp_path, capsys):
+        out = tmp_path / "feat.csv"
+        assert main(["features", "--audio", piece["wav"], "--frame-rate",
+                     "1e9", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "scoresync: filterbank: frame rate 1e+09 Hz gives a hop of 0")
+        assert not out.exists()
 
     def test_invalid_feature_is_usage_error(self, piece):
         with pytest.raises(SystemExit) as excinfo:

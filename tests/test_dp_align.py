@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoresync import (AlignmentParams, ConfigurationError,
-                       InfeasiblePathError, align, backtrack,
-                       compute_frame_window, prune_row, stretch_cost,
-                       synthesize, update_beat_period)
+                       InfeasiblePathError, align, stretch_cost, synthesize,
+                       update_beat_period)
 from scoresync import dp_align
-from scoresync.dp_align import DPState
 from scoresync import AudioBuffer, TempoMap, compute_spectrogram, \
     extract_features
 from helpers import (_scalar_step_cost, _scalar_stretch, enumerate_paths_min,
@@ -16,6 +16,13 @@ from helpers import (_scalar_step_cost, _scalar_stretch, enumerate_paths_min,
                      reference_align)
 
 DEFAULT = AlignmentParams()
+
+
+def compute_frame_window(j, bp, dscore, params, num_frames):
+    """The window ``align`` uses for a transition out of frame j, as a
+    range (empty when the window is)."""
+    lo, hi = dp_align._frame_windows(j, bp, dscore, params, num_frames)
+    return range(int(lo), int(hi) + 1)
 
 
 class TestComputeFrameWindow:
@@ -80,25 +87,6 @@ class TestUpdateBeatPeriod:
     def test_alpha_zero_tracks_observation(self):
         params = dataclasses.replace(DEFAULT, bp_alpha=0.0)
         assert update_beat_period(40.0, 2.0, 25.0, params) == 20.0
-
-
-class TestPruneRow:
-    def test_absent_threshold_is_identity(self):
-        row = np.array([1.0, 5.0, np.inf])
-        assert prune_row(row, None) is row
-
-    def test_cutoff_above_min_plus_threshold(self):
-        row = np.array([1.0, 1.4, 2.0, np.inf])
-        assert prune_row(row, 0.5).tolist() == [1.0, 1.4, np.inf, np.inf]
-
-    def test_zero_threshold_keeps_minimum_and_ties(self):
-        row = np.array([2.0, 1.0, 1.0, 3.0])
-        assert prune_row(row, 0.0).tolist() == [np.inf, 1.0, 1.0, np.inf]
-
-    def test_input_not_mutated(self):
-        row = np.array([1.0, 9.0])
-        prune_row(row, 0.5)
-        assert row.tolist() == [1.0, 9.0]
 
 
 def _two_chord_setup(n=40, bp=4.0, sustain=3):
@@ -168,11 +156,12 @@ class TestTransitionCost:
         assert transition_cost(0, 0, 3, feats, score, 4.0, params) == 0.0
 
 
-def _assert_matches_reference(rng, instances):
+def _assert_matches_reference(rng, instances, **sizes):
     """Exact agreement (cost and frames) with the brute-force oracle on
-    random instances, including which ones are infeasible."""
+    random instances (``sizes`` go to ``random_instance``), including
+    which ones are infeasible."""
     for _ in range(instances):
-        score, feats, params = random_instance(rng)
+        score, feats, params = random_instance(rng, **sizes)
         ref_cost, ref_path = reference_align(score, feats, params)
         if np.isinf(ref_cost):
             with pytest.raises(InfeasiblePathError):
@@ -214,6 +203,15 @@ class TestAlign:
 
     def test_reference_equivalence_random_instances(self):
         _assert_matches_reference(np.random.default_rng(1234), 40)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), num_chords=st.integers(1, 6),
+           num_frames=st.integers(10, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_reference_equivalence_at_random_sizes(self, seed, num_chords,
+                                                   num_frames):
+        _assert_matches_reference(np.random.default_rng(seed), 1,
+                                  num_chords=num_chords,
+                                  num_frames=num_frames)
 
     def test_cost_accounting_against_path_enumeration(self):
         # the returned cost is exactly the path-wise cost of the returned
@@ -349,42 +347,80 @@ class TestPairChunks:
         assert reference_align(score, feats, params) == (0.0, [5, 20])
 
 
-class TestBacktrack:
-    def _state(self, d, back):
-        return DPState(d=np.asarray(d, dtype=float),
-                       back=np.asarray(back, dtype=np.int32),
-                       score=make_score([0.0, 1.0][:len(d) - 1],
-                                        [[60], [62]][:len(d) - 1]))
+def _pruning_instance(tied_minimum=False):
+    """Two chords, no stretch charge. Chord 0 costs 0 at frame 2 and 0.5
+    at frame 5 (0 too with ``tied_minimum``), 2 elsewhere; chord 1 costs
+    0 only at frame 16, which frame 5 reaches and frame 2 does not."""
+    onsets = np.zeros((6, 30))
+    spec = np.zeros((6, 30))
+    onsets[0, 2] = 1.0
+    onsets[0, 5] = 1.0 if tied_minimum else 0.5
+    spec[0, [3, 6]] = 1.0
+    onsets[2, 16] = 1.0
+    spec[2, 17] = 1.0
+    feats = make_features(onsets, spec, midi_low=60)
+    score = make_score([0.0, 1.0], [[60], [62]])
+    params = dataclasses.replace(DEFAULT, w_stretch=0.0, bp_init=4.0,
+                                 bp_bounds=(1.0, 60.0), sustain_frames=1,
+                                 initial_window=0.2)
+    return score, feats, params
 
-    def test_single_row_takes_argmin_cell(self):
-        state = self._state([[0.0, np.inf, np.inf],
-                             [0.9, 0.2, 0.7]],
-                            [[-1, -1, -1], [0, 0, 0]])
-        result = backtrack(state, 50.0)
-        assert [e.frame for e in result.entries] == [1]
-        assert result.total_cost == 0.2
 
-    def test_final_row_tie_takes_smaller_frame(self):
-        state = self._state([[0.0, np.inf, np.inf],
-                             [0.5, 0.5, np.inf]],
-                            [[-1, -1, -1], [0, 0, -1]])
-        assert backtrack(state, 50.0).entries[0].frame == 0
+class TestPruning:
+    """``reset_threshold`` drops the chord cells above the row minimum
+    plus the threshold, and only those."""
 
-    def test_unique_chain_reproduced(self):
-        d = [[0.0, np.inf, np.inf, np.inf],
-             [np.inf, 0.3, np.inf, np.inf],
-             [np.inf, np.inf, np.inf, 0.8]]
-        back = [[-1, -1, -1, -1], [0, 0, -1, -1], [-1, -1, -1, 1]]
-        result = backtrack(self._state(d, back), 50.0)
-        assert [e.frame for e in result.entries] == [1, 3]
-        assert [e.cumulative_cost for e in result.entries] == [0.3, 0.8]
-        assert result.entries[1].time_s == pytest.approx(3 / 50.0)
+    def test_cell_at_min_plus_threshold_survives(self):
+        score, feats, params = _pruning_instance()
+        result = align(score, feats,
+                       dataclasses.replace(params, reset_threshold=0.5))
+        assert result.frames == [5, 16]
+        assert result.total_cost == 0.5
+        assert align(score, feats, params).entries == result.entries
 
-    def test_all_infinite_final_row_raises(self):
-        state = self._state([[0.0, np.inf], [np.inf, np.inf]],
-                            [[-1, -1], [-1, -1]])
-        with pytest.raises(InfeasiblePathError):
-            backtrack(state, 50.0)
+    def test_cell_just_above_is_pruned(self):
+        score, feats, params = _pruning_instance()
+        beam = dataclasses.replace(params,
+                                   reset_threshold=np.nextafter(0.5, 0.0))
+        result = align(score, feats, beam)
+        # only frame 2 is left for chord 0; chord 1 costs 2 in all its
+        # window and takes the smallest frame
+        assert result.frames == [2, 4]
+        assert result.total_cost == 2.0
+
+    def test_zero_threshold_keeps_tied_minima(self):
+        score, feats, params = _pruning_instance(tied_minimum=True)
+        result = align(score, feats,
+                       dataclasses.replace(params, reset_threshold=0.0))
+        assert result.frames == [5, 16]
+        assert result.total_cost == 0.0
+
+
+class TestPathReadout:
+    """Every entry carries the path-wise cost of its prefix of the path
+    and its frame in seconds, with and without a beam."""
+
+    @pytest.mark.parametrize("reset_threshold", [None, 0.5, 2.0])
+    def test_entries_carry_prefix_cost_and_time(self, reset_threshold):
+        rng = np.random.default_rng(808)
+        checked = 0
+        for _ in range(40):
+            score, feats, params = random_instance(rng, max_chords=5,
+                                                   num_frames=30)
+            params = dataclasses.replace(params,
+                                         reset_threshold=reset_threshold)
+            try:
+                result = align(score, feats, params)
+            except InfeasiblePathError:
+                continue
+            frames = result.frames
+            for i, entry in enumerate(result.entries):
+                assert entry.cumulative_cost == path_cost(
+                    score, feats, params, frames[:i + 1])
+                assert entry.time_s == entry.frame / feats.frame_rate
+                checked += 1
+            assert result.total_cost == result.entries[-1].cumulative_cost
+        assert checked >= 40
 
 
 class TestParamsValidation:

@@ -124,6 +124,13 @@ class TestExtractFeatures:
         assert not pair.onsets.values.any()
         assert not pair.spec.values.any()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_band_rejected_with_its_pitch(self, value):
+        values = np.random.default_rng(2).uniform(0, 1, (88, 20))
+        values[40, 7] = value
+        with pytest.raises(ValueError, match="MIDI pitch 61 holds a non-"):
+            extract_features(Spectrogram(values=values, frame_rate=50.0))
+
     def test_shapes_match_input(self):
         pair = extract_features(spectro(np.random.default_rng(1)
                                         .uniform(0, 1, (5, 7))))

@@ -11,7 +11,7 @@ from scoresync import (AudioBuffer, ConfigurationError, EmptyAudioError,
                        design_filterbank, evaluate, extract_features,
                        synthesize)
 from scoresync import filterbank
-from scoresync.filterbank import window_max
+from scoresync.filterbank import _block_heads, _frame_maxima
 
 from helpers import (magnitude_db, random_piece, reference_bandpass,
                      reference_spectrogram, warped_center)
@@ -110,6 +110,12 @@ class TestDesignFilterbank:
             design_filterbank(FilterbankConfig(), 8000)
 
 
+def window_max(x, hop, window):
+    """Window maxima of a 1-D signal as ``compute_spectrogram`` frames its
+    bands, for windows of whole hops."""
+    return _frame_maxima(_block_heads(x, hop), window // hop, len(x) // hop)
+
+
 class TestWindowMax:
     def test_frame_count_is_floor(self):
         frames = window_max(np.arange(10.0), hop=3, window=3)
@@ -133,11 +139,10 @@ class TestWindowMax:
         for hop in (1, 3, 7):
             for length in (hop, 5 * hop - 1, 5 * hop, 5 * hop + 2, 41):
                 x = rng.uniform(0, 1, length)
-                # whole hops, and whole hops plus part of the next block
-                for window in (factor * hop, factor * hop + hop // 2):
-                    expected = [x[t * hop:t * hop + window].max()
-                                for t in range(length // hop)]
-                    assert window_max(x, hop, window).tolist() == expected
+                window = factor * hop
+                expected = [x[t * hop:t * hop + window].max()
+                            for t in range(length // hop)]
+                assert window_max(x, hop, window).tolist() == expected
 
 
 class TestComputeSpectrogram:
@@ -190,6 +195,23 @@ class TestComputeSpectrogram:
         audio = AudioBuffer(samples=np.zeros(8000), sample_rate=8000)
         with pytest.raises(ConfigurationError):
             compute_spectrogram(audio)
+
+    @pytest.mark.parametrize("frame_rate", [1e9, 44100.0])
+    def test_frame_rate_above_twice_sample_rate_rejected(self, frame_rate):
+        # round(22050 / 44100) is round(0.5), which is 0
+        with pytest.raises(ConfigurationError, match="hop of 0 samples"):
+            compute_spectrogram(AudioBuffer(np.zeros(22050), 22050),
+                                FilterbankConfig(frame_rate=frame_rate))
+
+    def test_huge_window_factor_equals_whole_signal_window(self):
+        rng = np.random.default_rng(6)
+        audio = AudioBuffer(rng.uniform(-0.4, 0.4, 22050 + 100), 22050)
+        hops = 51  # 50 whole hops of 441 samples and a partial one
+        whole = compute_spectrogram(audio,
+                                    FilterbankConfig(window_factor=hops))
+        huge = compute_spectrogram(audio,
+                                   FilterbankConfig(window_factor=10 ** 9))
+        assert np.array_equal(huge.values, whole.values)
 
     def test_window_factor_widens_windows(self):
         rng = np.random.default_rng(5)

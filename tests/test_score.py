@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoresync import ScoreError, from_json, from_midi
 
@@ -142,6 +144,37 @@ class TestFromMidi:
             write_midi(path, [events], ppq=480)
             seq = from_midi(str(path), chord_tolerance=0)
             assert [(o.beat, o.pitches) for o in seq.onsets] == expected
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.mid"
+
+
+def _read_or_reject(path, data):
+    """Feed ``data`` to from_midi: it may return a score or raise
+    ScoreError, and nothing else."""
+    path.write_bytes(data)
+    try:
+        from_midi(str(path))
+    except ScoreError:
+        pass
+
+
+class TestFromMidiFuzz:
+    @given(data=st.binary(max_size=256))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_raise_only_score_error(self, fuzz_path, data):
+        _read_or_reject(fuzz_path, data)
+
+    @given(fmt=st.integers(0, 1), division=st.integers(1, 960),
+           body=st.binary(max_size=256))
+    @settings(max_examples=300, deadline=None)
+    def test_random_track_body_raises_only_score_error(self, fuzz_path, fmt,
+                                                       division, body):
+        data = b"MThd" + struct.pack(">IHHH", 6, fmt, 1, division) \
+            + b"MTrk" + struct.pack(">I", len(body)) + body
+        _read_or_reject(fuzz_path, data)
 
 
 class TestFromJson:
