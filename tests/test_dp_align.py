@@ -11,8 +11,9 @@ from scoresync import (AlignmentParams, ConfigurationError,
 from scoresync import dp_align
 from scoresync import AudioBuffer, TempoMap, compute_spectrogram, \
     extract_features
-from helpers import (_scalar_step_cost, _scalar_stretch, enumerate_paths_min,
-                     make_features, make_score, path_cost, random_instance,
+from helpers import (_clamped_bp, _scalar_step_cost, _scalar_stretch,
+                     _scalar_window, enumerate_paths_min, make_features,
+                     make_score, path_cost, random_instance, random_piece,
                      reference_align)
 
 DEFAULT = AlignmentParams()
@@ -394,6 +395,170 @@ class TestPruning:
                        dataclasses.replace(params, reset_threshold=0.0))
         assert result.frames == [5, 16]
         assert result.total_cost == 0.0
+
+
+def _outcome(score, feats, params):
+    """Everything ``align`` reports: the entries and total cost, or the
+    score index and message of its InfeasiblePathError."""
+    try:
+        result = align(score, feats, params)
+    except InfeasiblePathError as exc:
+        return "infeasible", exc.score_index, str(exc)
+    return result.entries, result.total_cost
+
+
+def _outcome_with_bound(score, feats, params, bound):
+    """``_outcome`` with the upper bound of the default pass forced to
+    ``bound`` (+inf: the plain unpruned pass), and whether the bounded
+    pass fell back to a second, unpruned one."""
+    fill = dp_align._fill_tables
+    passes = []
+
+    def spy(*args):
+        passes.append(args)
+        return fill(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp_align, "_beam_bound", lambda *args: bound)
+        mp.setattr(dp_align, "_fill_tables", spy)
+        return _outcome(score, feats, params), len(passes) > 1
+
+
+def _feasible_paths(score, feats, params):
+    """Every window-feasible path as (frames, step costs), each step priced
+    with the beat period of the path's own history."""
+    n = feats.num_frames
+    m = len(score.onsets)
+    beats = score.beats
+    rows_per = [[feats.onsets.pitch_row(p) for p in o.pitches]
+                for o in score.onsets]
+    paths = []
+
+    def extend(frames, steps, bp):
+        target = len(frames)
+        if target == m:
+            paths.append((list(frames), list(steps)))
+            return
+        if target == 0:
+            hi = min(n - 1, int(params.initial_window * feats.frame_rate))
+            options = [(jp, 0.0, bp) for jp in range(hi + 1)]
+        else:
+            j = frames[-1]
+            dscore = beats[target] - beats[target - 1]
+            lo, hi = _scalar_window(j, bp * dscore, params, n)
+            options = [(jp, _scalar_stretch(float(jp - j), bp * dscore,
+                                            params),
+                        _clamped_bp(float(jp - j), dscore, bp, params))
+                       for jp in range(lo, hi + 1)]
+        for jp, c_st, bp_next in options:
+            frames.append(jp)
+            steps.append(_scalar_step_cost(feats, rows_per, params, target,
+                                           c_st, jp))
+            extend(frames, steps, bp_next)
+            frames.pop()
+            steps.pop()
+
+    extend([], [], float(params.bp_init))
+    return paths
+
+
+class TestBoundPruning:
+    """Without a beam, ``align`` prunes every cell whose cost plus a lower
+    bound on its cost-to-go exceeds an upper bound on the optimum, and
+    reports exactly what the plain unpruned pass does."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), num_chords=st.integers(1, 6),
+           num_frames=st.integers(10, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_pass_at_any_bound(self, seed, num_chords,
+                                             num_frames):
+        rng = np.random.default_rng(seed)
+        score, feats, params = random_instance(rng, num_chords=num_chords,
+                                               num_frames=num_frames)
+        plain, _ = _outcome_with_bound(score, feats, params, np.inf)
+        assert _outcome(score, feats, params) == plain
+        opt, _ = reference_align(score, feats, params)
+        if np.isinf(opt):
+            # a finite bound on an infeasible problem empties a row; the
+            # plain pass then reports the row it fails at
+            assert _outcome_with_bound(score, feats, params, 1.0)[0] == plain
+            return
+        for bound in (opt, 1.3 * opt + 0.1):
+            outcome, fell_back = _outcome_with_bound(score, feats, params,
+                                                     bound)
+            assert outcome == plain
+            assert not fell_back
+        # a bound below the optimum cuts a row empty and is ignored
+        outcome, fell_back = _outcome_with_bound(score, feats, params,
+                                                 0.5 * opt - 0.1)
+        assert outcome == plain
+        assert fell_back
+
+    def test_cost_to_go_is_admissible(self):
+        # h[r, f_r] never exceeds what rows r + 1 .. M - 1 add along any
+        # feasible path through (r, f_r), found by enumeration
+        rng = np.random.default_rng(606)
+        cost_to_go = dp_align._cost_to_go
+        tables = []
+
+        def spy(*args):
+            tables.append(cost_to_go(*args))
+            return tables[-1]
+
+        checked = 0
+        for _ in range(30):
+            score, feats, params = random_instance(rng, max_chords=4,
+                                                   num_frames=14)
+            with pytest.MonkeyPatch.context() as mp:
+                # any finite bound makes align compute h
+                mp.setattr(dp_align, "_beam_bound", lambda *args: 1e9)
+                mp.setattr(dp_align, "_cost_to_go", spy)
+                try:
+                    align(score, feats, params)
+                except InfeasiblePathError:
+                    pass
+            h = tables.pop()
+            for frames, steps in _feasible_paths(score, feats, params):
+                for r, j in enumerate(frames):
+                    suffix = sum(steps[r + 1:])
+                    assert h[r, j] <= suffix + 1e-12
+                    checked += 1
+        assert checked > 1000
+
+    def test_infeasible_error_unchanged(self):
+        # the same failing score index and message as the plain pass, by
+        # default and under a finite bound
+        rng = np.random.default_rng(77)
+        found = 0
+        while found < 10:
+            score, feats, params = random_instance(rng, max_chords=6,
+                                                   num_frames=10)
+            plain, _ = _outcome_with_bound(score, feats, params, np.inf)
+            if plain[0] != "infeasible":
+                continue
+            found += 1
+            assert _outcome(score, feats, params) == plain
+            assert _outcome_with_bound(score, feats, params, 5.0)[0] == plain
+
+    def test_rendered_piece_relaxes_few_cells(self):
+        score, tempo_map, rng = random_piece(seed=2024)
+        audio, _ = synthesize(score, tempo_map, sample_rate=22050,
+                              noise_level=0.01, rng=rng)
+        feats = extract_features(compute_spectrogram(audio))
+        relax = dp_align._relax_row
+        sources = []
+
+        def spy(d_src, *args):
+            sources.append(int(np.isfinite(d_src).sum()))
+            return relax(d_src, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dp_align, "_relax_row", spy)
+            outcome = _outcome(score, feats, DEFAULT)
+        # the beam pass and the bounded pass together
+        assert sum(sources) < 0.1 * len(score) * feats.num_frames
+        assert outcome == _outcome_with_bound(score, feats, DEFAULT,
+                                              np.inf)[0]
 
 
 class TestPathReadout:
