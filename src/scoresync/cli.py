@@ -5,6 +5,7 @@ alignment path, 6 configuration.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import types
@@ -123,19 +124,12 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
                      f"(expected .mid, .midi, or .json)")
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
-
-
 def _write_out(path, writer) -> None:
-    out, close = _open_out(path)
-    try:
+    """``writer(out)`` on the file at ``path``, or on stdout when it is
+    None; stdout stays open."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="\n")) as out:
         writer(out)
-    finally:
-        if close:
-            out.close()
 
 
 def _fail(message: str, code: int) -> int:
@@ -265,7 +259,7 @@ def cmd_align(args) -> int:
     try:
         if args.format == "json":
             _write_out(args.out, lambda out: formats.dump_json(
-                out, formats.alignment_to_json(result)))
+                out, dataclasses.asdict(result)))
         else:
             _write_out(args.out,
                        lambda out: formats.write_alignment_csv(out, result))

@@ -146,12 +146,18 @@ def _frame_windows(j, bp, dscore: float, params: AlignmentParams,
     The window is ``[j + max(1, ceil(stretch_min * bp * dscore)),
     j + floor(stretch_max * bp * dscore)]`` clipped to the valid frame
     range; it is empty (``hi < lo``) near the end of the recording.
+    Offsets and the cap are clipped to ``num_frames`` before the integer
+    conversion, which would overflow on huge ones; a clipped offset or
+    cap already reaches past the last frame, so the window is the same.
     """
     span = np.asarray(bp, dtype=np.float64) * dscore
-    lo = j + np.maximum(1, np.ceil(params.stretch_min * span)).astype(np.int64)
-    hi = j + np.floor(params.stretch_max * span).astype(np.int64)
+    lo = j + np.clip(np.ceil(params.stretch_min * span), 1,
+                     num_frames).astype(np.int64)
+    hi = j + np.minimum(np.floor(params.stretch_max * span),
+                        num_frames).astype(np.int64)
     if params.max_window_frames is not None:
-        hi = np.minimum(hi, lo + params.max_window_frames - 1)
+        hi = np.minimum(hi, lo + min(params.max_window_frames,
+                                     num_frames) - 1)
     return lo, np.minimum(hi, num_frames - 1)
 
 
@@ -181,11 +187,14 @@ _PAIR_CHUNK = 1 << 15
 
 
 def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray:
-    """min over k = 1..k_max of spec[row, min(j + k, N - 1)], per frame j."""
+    """min over k = 1..k_max of spec[row, min(j + k, N - 1)], per frame j.
+
+    Every k >= N - 1 reads frame N - 1 alone, so k stops there.
+    """
     n = spec_values.shape[1]
     base = np.arange(n)
     out = spec_values[row, np.minimum(base + 1, n - 1)].copy()
-    for k in range(2, k_max + 1):
+    for k in range(2, min(k_max, n - 1) + 1):
         np.minimum(out, spec_values[row, np.minimum(base + k, n - 1)], out=out)
     return out
 
@@ -195,26 +204,23 @@ def _chord_cost_vectors(onsets_values: np.ndarray,
                         params: AlignmentParams
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame onset and sustained-spectral costs for one chord, from
-    the ``_sustained_spec`` vectors of its band rows.
+    the ``_sustained_spec`` vectors of its band rows: ``1 - value`` over
+    the rows, summed with ``np.add`` and divided for the mean, or folded
+    with ``np.minimum`` for the minimum, in one loop.
 
     Pitches accumulate in row order; keep that order fixed, results must be
     bit-reproducible against scalar re-evaluation.
     """
-    n = onsets_values.shape[1]
-    if params.pitch_aggregation == "mean":
-        con = np.zeros(n)
-        csp = np.zeros(n)
-        for r in rows:
-            con += 1.0 - onsets_values[r]
-            csp += 1.0 - sustained[r]
+    mean = params.pitch_aggregation == "mean"
+    combine = np.add if mean else np.minimum
+    con = np.full(onsets_values.shape[1], 0.0 if mean else np.inf)
+    csp = con.copy()
+    for r in rows:
+        combine(con, 1.0 - onsets_values[r], out=con)
+        combine(csp, 1.0 - sustained[r], out=csp)
+    if mean:
         con /= len(rows)
         csp /= len(rows)
-    else:
-        con = np.full(n, np.inf)
-        csp = np.full(n, np.inf)
-        for r in rows:
-            np.minimum(con, 1.0 - onsets_values[r], out=con)
-            np.minimum(csp, 1.0 - sustained[r], out=csp)
     return con, csp
 
 
@@ -296,8 +302,10 @@ def _fill_tables(beats, n: int, rate: float, weighted_costs,
         if target == 0:
             # the virtual start (cost 0.0 at frame 0) reaches the opening
             # window with no stretch charge and the beat period left at
-            # bp_init; fmin keeps a NaN step from winning
-            hi = min(n - 1, math.floor(params.initial_window * rate))
+            # bp_init; fmin keeps a NaN step from winning. The end is
+            # clipped as a float: a huge window gives inf, which floor()
+            # cannot take
+            hi = math.floor(min(params.initial_window * rate, n - 1))
             sl = slice(0, hi + 1)
             np.fmin(d[0, sl], 0.0 + (w_con[sl] + w_csp[sl]), out=d[0, sl])
         else:

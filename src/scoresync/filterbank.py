@@ -19,7 +19,7 @@ decimated rate with the hop ``hop // q``.
 A band is filtered in blocks of ``_BLOCK_HOPS`` hops, with the filter
 state carried from block to block, so the result equals one pass over
 the whole signal; each block is reduced to per-hop maxima
-(``_block_heads``) before the next is filtered. Frame t is then the
+(``np.maximum.reduceat``) before the next is filtered. Frame t is then the
 maximum of hops t .. t + window_factor - 1 of that band x hop matrix
 (``_frame_maxima``), truncated at the end of the signal. Bands run on
 one thread per available core. Beyond the input samples and the output
@@ -199,15 +199,6 @@ def design_filterbank(config: FilterbankConfig,
     return bank
 
 
-def _block_heads(x: np.ndarray, hop: int) -> np.ndarray:
-    """Maximum of every hop-sized block, the partial block at the end of
-    the signal included."""
-    full = len(x) // hop
-    heads = x[:full * hop].reshape(full, hop).max(axis=1)
-    tail = x[full * hop:]
-    return np.append(heads, tail.max()) if len(tail) else heads
-
-
 def _frame_maxima(hop_maxima: np.ndarray, window_factor: int,
                   num_frames: int) -> np.ndarray:
     """Frame t is the maximum of ``hop_maxima[..., t:t + window_factor]``,
@@ -257,7 +248,8 @@ def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
     for start in range(0, len(samples), step):
         y, state = signal.lfilter(b, a, samples[start:start + step],
                                   zi=state)
-        heads = _block_heads(np.abs(y, out=y), hop)
+        heads = np.maximum.reduceat(np.abs(y, out=y),
+                                    np.arange(0, len(y), hop))
         out[start // hop:start // hop + len(heads)] = heads
 
 
@@ -279,7 +271,10 @@ def compute_spectrogram(audio: AudioBuffer,
     from concurrent.futures import ThreadPoolExecutor
 
     samples = np.asarray(audio.samples, dtype=np.float64)
-    hop = int(round(audio.sample_rate / config.frame_rate))
+    ratio = audio.sample_rate / config.frame_rate
+    # clipped before round(), which cannot take the inf a tiny frame rate
+    # gives; a hop past the end of the signal leaves no frame either way
+    hop = int(round(min(ratio, len(samples) + 1)))
     if hop < 1:
         raise ConfigurationError(
             f"frame rate {config.frame_rate:g} Hz gives a hop of 0 samples "
@@ -288,7 +283,7 @@ def compute_spectrogram(audio: AudioBuffer,
     if num_frames == 0:
         raise EmptyAudioError(
             f"audio too short: {len(samples)} samples is less than one "
-            f"frame of {hop}")
+            f"frame of {ratio:.0f}")
 
     q = _decimation_factor(audio.sample_rate, hop, config)
     bank = design_filterbank(config, audio.sample_rate / q)

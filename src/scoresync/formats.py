@@ -81,24 +81,6 @@ def read_alignment_csv(path: str) -> list[dict]:
             for lineno, (index, time_s) in rows]
 
 
-def alignment_to_json(result: AlignmentResult) -> dict:
-    return {
-        "entries": [
-            {
-                "score_index": e.score_index,
-                "beat": e.beat,
-                "pitches": list(e.pitches),
-                "frame": e.frame,
-                "time_s": e.time_s,
-                "cumulative_cost": e.cumulative_cost,
-            }
-            for e in result.entries
-        ],
-        "total_cost": result.total_cost,
-        "effective_frame_rate": result.effective_frame_rate,
-    }
-
-
 def write_truth_csv(out: IO[str], score: ScoreSequence,
                     times: Iterable[float], precision=6) -> None:
     out.write("score_index,beat,time_s\n")

@@ -86,6 +86,47 @@ class TestAlign:
         assert doc["effective_frame_rate"] == 50.0
         assert doc["entries"][0]["pitches"] == [60, 64]
 
+    def test_json_is_the_result_in_field_order(self, piece, tmp_path):
+        args = ["align", "--audio", piece["wav"], "--score", piece["score"]]
+        csv_out, json_out = tmp_path / "a.csv", tmp_path / "a.json"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
+        doc = json.loads(json_out.read_text())
+        assert list(doc) == ["entries", "total_cost", "effective_frame_rate"]
+        header, *rows = csv_out.read_text().splitlines()
+        assert len(doc["entries"]) == len(rows)
+        for entry, row in zip(doc["entries"], rows):
+            assert list(entry) == header.split(",")
+            assert ",".join([
+                str(entry["score_index"]), f"{entry['beat']:.6g}",
+                "+".join(map(str, entry["pitches"])), str(entry["frame"]),
+                f"{entry['time_s']:.6g}",
+                f"{entry['cumulative_cost']:.6g}"]) == row
+        assert doc["total_cost"] == doc["entries"][-1]["cumulative_cost"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_when_no_out_path(self, piece, tmp_path, capsys, fmt):
+        args = ["align", "--audio", piece["wav"], "--score", piece["score"],
+                "--format", fmt]
+        out = tmp_path / f"alignment.{fmt}"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        print("stdout still open")
+        assert capsys.readouterr().out == \
+            out.read_text() + "stdout still open\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sustain-frames", "1000000000"), ("--stretch-max", "1e19"),
+        ("--max-window-frames", "100000000000000000000"),
+        ("--initial-window", "1e308")])
+    def test_parameter_past_the_frame_count_aligns(self, piece, tmp_path,
+                                                   capsys, flag, value):
+        out = tmp_path / "alignment.csv"
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], flag, value, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 6
+        assert capsys.readouterr().err == ""
+
     def test_missing_score_file_names_path(self, piece, tmp_path, capsys):
         missing = str(tmp_path / "nowhere.json")
         assert main(["align", "--audio", piece["wav"],
@@ -233,6 +274,19 @@ class TestFeatures:
                      "1e9", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
             "scoresync: filterbank: frame rate 1e+09 Hz gives a hop of 0")
+        assert not out.exists()
+
+    # a subnormal frame rate makes the hop inf, longer than any signal
+    @pytest.mark.parametrize("frame_rate, hop", [("1e-3", "22050000"),
+                                                 ("1e-320", "inf")])
+    def test_hop_longer_than_audio_is_io_error(self, piece, tmp_path,
+                                               capsys, frame_rate, hop):
+        out = tmp_path / "feat.csv"
+        assert main(["features", "--audio", piece["wav"], "--frame-rate",
+                     frame_rate, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("scoresync: audio: audio too short")
+        assert err.endswith(f"less than one frame of {hop}\n")
         assert not out.exists()
 
     def test_invalid_feature_is_usage_error(self, piece):

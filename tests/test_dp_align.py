@@ -157,12 +157,13 @@ class TestTransitionCost:
         assert transition_cost(0, 0, 3, feats, score, 4.0, params) == 0.0
 
 
-def _assert_matches_reference(rng, instances, **sizes):
+def _assert_matches_reference(rng, instances, overrides=None, **sizes):
     """Exact agreement (cost and frames) with the brute-force oracle on
-    random instances (``sizes`` go to ``random_instance``), including
-    which ones are infeasible."""
+    random instances (``sizes`` go to ``random_instance``, ``overrides``
+    replace parameters), including which ones are infeasible."""
     for _ in range(instances):
         score, feats, params = random_instance(rng, **sizes)
+        params = dataclasses.replace(params, **(overrides or {}))
         ref_cost, ref_path = reference_align(score, feats, params)
         if np.isinf(ref_cost):
             with pytest.raises(InfeasiblePathError):
@@ -314,6 +315,37 @@ class TestAlign:
         feats = make_features(onsets, spec, midi_low=60)
         result = align(make_score([0.0], [[60]]), feats)
         assert result.entries[0].frame == 40
+
+
+class TestParametersPastTheFrameCount:
+    """A window end, window cap or sustain length past the last frame acts
+    as the frame count: no overflow, no hang, the oracle's result."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"sustain_frames": 13}, {"sustain_frames": 40},
+        {"stretch_max": 1e19}, {"max_window_frames": 10 ** 20},
+        {"stretch_max": 1e19, "max_window_frames": 10 ** 20}])
+    def test_matches_reference(self, overrides):
+        _assert_matches_reference(np.random.default_rng(2026), 30,
+                                  overrides, num_frames=12)
+
+    def test_huge_sustain_equals_frame_count(self):
+        rng = np.random.default_rng(88)
+        for _ in range(10):
+            score, feats, params = random_instance(rng, num_frames=20)
+            assert _outcome(score, feats, dataclasses.replace(
+                params, sustain_frames=10 ** 9)) == _outcome(
+                score, feats, dataclasses.replace(params, sustain_frames=20))
+
+    def test_huge_opening_window_spans_every_frame(self):
+        rng = np.random.default_rng(89)
+        for _ in range(10):
+            score, feats, params = random_instance(rng, num_frames=20)
+            every = 20 / feats.frame_rate
+            assert _outcome(score, feats, dataclasses.replace(
+                params, initial_window=1e308)) == _outcome(
+                score, feats, dataclasses.replace(params,
+                                                  initial_window=every))
 
 
 class TestPairChunks:
