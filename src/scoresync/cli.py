@@ -305,6 +305,9 @@ def cmd_synth(args) -> int:
             f"synth: tempo map starts at beat {args.tempo.segments[0][0]:g} "
             f"but the score starts at beat {first_beat:g}", EXIT_SCORE)
 
+    if args.seed < 0:
+        return _fail(f"synth: seed must be non-negative, got {args.seed}",
+                     EXIT_CONFIG)
     rng = np.random.default_rng(args.seed)
     try:
         audio, truth = synth_eval.synthesize(

@@ -7,24 +7,36 @@ precision, rectified, and aggregated into frames by the maximum absolute
 value per window, giving an 88 x T activation matrix at (nominally)
 50 frames per second.
 
-The bank only needs the signal below the top band's upper edge (about
-4.3 kHz for the piano keys), so before filtering the signal is decimated
-by the largest integer ``q`` that divides the hop and keeps the rate
-``sample_rate / q`` at no less than ``_DECIMATION_MARGIN`` times that
-edge: 3 at 44.1 kHz, 4 at 48 kHz, 8 at 96 kHz, and 1 (no resampling) at
-22.05 and 11.025 kHz. ``scipy.signal.resample_poly`` does it with its
-zero-phase FIR, so onsets do not move, and the bank is designed at the
-decimated rate with the hop ``hop // q``.
+A band only needs the signal below its own upper edge, so the bank runs
+in groups of ``_GROUP_BANDS`` bands (one octave), counted from the top
+band down, each at its own rate ``hop_g * frame_rate``, where
+``frame_rate`` is the effective frame rate. ``hop_g`` is the smallest
+whole hop that keeps the group's rate at no less than
+``_DECIMATION_MARGIN`` times its top band's upper edge, raised to
+``_MIN_GROUP_HOP`` and capped at the hop of the group above, so no signal
+is upsampled (``_band_groups``). At 50 frames per second the group hops
+are 216, 108 and then 64 for the lowest 64 bands at 44.1 and 22.05 kHz
+(and at 48 and 96 kHz), and 215, 108 and then 64 at 11.025 kHz. That is
+7,984 filtered samples per frame (7,972 at 11.025 kHz), where one
+full-rate pass per band would filter 88 hops: 77,616 samples at 44.1 kHz,
+38,808 at 22.05 kHz and 19,360 at 11.025 kHz. Each group's signal is the
+previous group's resampled by ``scipy.signal.resample_poly`` with the two
+hops in lowest terms (a zero-phase FIR, so onsets do not move); a group
+whose hop does not fall reuses the previous signal. Each group is
+designed at its own rate.
 
-A band is filtered in blocks of ``_BLOCK_HOPS`` hops, with the filter
-state carried from block to block, so the result equals one pass over
-the whole signal; each block is reduced to per-hop maxima
-(``np.maximum.reduceat``) before the next is filtered. Frame t is then the
-maximum of hops t .. t + window_factor - 1 of that band x hop matrix
-(``_frame_maxima``), truncated at the end of the signal. Bands run on
-one thread per available core. Beyond the input samples and the output
-matrix, the front end therefore holds the 1/q decimated copy (none when
-``q == 1``) and one block per thread, however long the recording is.
+A band is filtered in blocks of ``_BLOCK_HOPS`` hops of its group, with
+the filter state carried from block to block, so the result equals one
+pass over the whole group signal; each block is reduced to per-hop maxima
+(``np.maximum.reduceat``) before the next is filtered. Every group has
+``ceil(len(samples) / hop)`` hops, so the per-hop maxima of all bands
+form one band x hop matrix, and frame t is the maximum of hops
+t .. t + window_factor - 1 of that matrix (``_frame_maxima``), truncated
+at the end of the signal. All bands share one thread per available core.
+Beyond the input samples and the output matrix, the front end therefore
+holds at most two group signals (the group being filtered and the next,
+which is being resampled from it; each is freed once its bands are done)
+and one block per thread, however long the recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -32,8 +44,9 @@ frame/seconds conversions use the effective rate ``sample_rate / hop``,
 so sample rates that do not divide evenly stay exact.
 """
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import signal
@@ -44,10 +57,14 @@ from .errors import ConfigurationError, EmptyAudioError, check_finite
 # hops per filtering block: small enough to stay in cache, large enough
 # that the per-call cost of lfilter stays small against the filtering
 _BLOCK_HOPS = 256
-# lowest decimated rate, in multiples of the top band's upper edge: the
-# edge then sits at no more than 0.8 of the decimated Nyquist frequency,
+# lowest rate of a band group, in multiples of its top band's upper edge:
+# the edge then sits at no more than 0.8 of the group's Nyquist frequency,
 # inside the passband of resample_poly's lowpass (ripple under 0.02 dB)
 _DECIMATION_MARGIN = 2.5
+# bands per group, counted down from the top band: one octave
+_GROUP_BANDS = 12
+# fewest samples per hop of any group: 3.2 kHz at 50 frames per second
+_MIN_GROUP_HOP = 64
 
 
 @dataclass(frozen=True)
@@ -221,16 +238,25 @@ def _num_workers(num_bands: int) -> int:
     return min(cores, num_bands)
 
 
-def _decimation_factor(sample_rate: float, hop: int,
-                       config: FilterbankConfig) -> int:
-    """Largest divisor ``q`` of the hop with ``sample_rate / q`` at least
-    ``_DECIMATION_MARGIN`` times the upper edge of the top band; 1 when
-    no larger divisor qualifies."""
-    _, top = band_edges(int(config.band_pitches[-1]), config)
-    q = max(1, min(hop, int(sample_rate // (_DECIMATION_MARGIN * top))))
-    while hop % q:
-        q -= 1
-    return q
+def _band_groups(config: FilterbankConfig, hop: int,
+                 frame_rate: float) -> list[tuple[range, int]]:
+    """Rows and hop of each band group, from the top group down.
+
+    A group holds ``_GROUP_BANDS`` rows counted down from the top band
+    (the lowest group may hold fewer) and is filtered at
+    ``hop_g * frame_rate``, with ``hop_g`` the smallest whole hop that puts
+    the group's top band edge at no more than ``1 / _DECIMATION_MARGIN`` of
+    that rate, raised to ``_MIN_GROUP_HOP`` and capped at the hop of the
+    group above (the input hop for the top group), so that no signal is
+    ever upsampled.
+    """
+    groups = []
+    for stop in range(config.num_bands, 0, -_GROUP_BANDS):
+        _, top = band_edges(int(config.band_pitches[stop - 1]), config)
+        hop = min(hop, max(_MIN_GROUP_HOP, math.ceil(
+            _DECIMATION_MARGIN * top / frame_rate)))
+        groups.append((range(max(0, stop - _GROUP_BANDS), stop), hop))
+    return groups
 
 
 def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
@@ -258,15 +284,17 @@ def compute_spectrogram(audio: AudioBuffer,
                         ) -> Spectrogram:
     """Filter the signal through the bank and frame it by window maxima.
 
-    The signal is first decimated by ``q = _decimation_factor(...)`` with
-    ``resample_poly`` when ``q > 1``; the bank is designed at
-    ``sample_rate / q`` and frames are taken on the decimated samples
-    with the hop ``hop // q``. The frame count ``len(samples) // hop``
-    and the frame rate ``sample_rate / hop`` are those of the input.
-    Each band is filtered causally (forward pass, zero initial state); a
-    frame holds the maximum of |filtered| over its window. Window width is
-    ``window_factor * hop`` (default: non-overlapping windows). Bands are
-    filtered block by block on one thread per available core.
+    The bands run in the groups of ``_band_groups``: each group's signal
+    is resampled from the group above with ``resample_poly`` when its hop
+    falls, its bands are designed at its rate ``sample_rate * hop_g /
+    hop``, and frames are taken on its samples with the hop ``hop_g``.
+    The frame count ``len(samples) // hop`` and the frame rate
+    ``sample_rate / hop`` are those of the input. Each band is filtered
+    causally (forward pass, zero initial state); a frame holds the
+    maximum of |filtered| over its window. Window width is
+    ``window_factor`` hops (default: non-overlapping windows). Bands are
+    filtered block by block on one thread per available core, and a
+    group's signal is freed once its bands are done.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -285,20 +313,32 @@ def compute_spectrogram(audio: AudioBuffer,
             f"audio too short: {len(samples)} samples is less than one "
             f"frame of {ratio:.0f}")
 
-    q = _decimation_factor(audio.sample_rate, hop, config)
-    bank = design_filterbank(config, audio.sample_rate / q)
-    if q > 1:
-        samples = signal.resample_poly(samples, 1, q)
-    filter_hop = hop // q
-    hop_maxima = np.empty((config.num_bands,
-                           -(-len(samples) // filter_hop)))
+    frame_rate = audio.sample_rate / hop
+    hop_maxima = np.empty((config.num_bands, -(-len(samples) // hop)))
+    signal_hop, pending = hop, []
     with ThreadPoolExecutor(_num_workers(config.num_bands)) as pool:
-        # reading every result re-raises an exception from a worker
-        list(pool.map(lambda coeffs, row: _filter_band(coeffs, samples,
-                                                       filter_hop, row),
-                      bank, hop_maxima))
+        for rows, group_hop in _band_groups(config, hop, frame_rate):
+            if group_hop < signal_hop:
+                g = math.gcd(group_hop, signal_hop)
+                samples = signal.resample_poly(samples, group_hop // g,
+                                               signal_hop // g)
+                signal_hop = group_hop
+            bank = design_filterbank(
+                replace(config, midi_low=config.midi_low + rows[0],
+                        num_bands=len(rows)),
+                audio.sample_rate * group_hop / hop)
+            futures = [pool.submit(_filter_band, coeffs, samples, group_hop,
+                                   hop_maxima[row])
+                       for coeffs, row in zip(bank, rows)]
+            # once the group above is done, nothing holds its signal any
+            # more; reading every result re-raises an exception from a
+            # worker
+            for future in pending:
+                future.result()
+            pending = futures
+        for future in pending:
+            future.result()
     values = _frame_maxima(hop_maxima, config.window_factor, num_frames)
 
-    return Spectrogram(values=values,
-                       frame_rate=audio.sample_rate / hop,
+    return Spectrogram(values=values, frame_rate=frame_rate,
                        band_pitches=config.band_pitches)

@@ -1,5 +1,5 @@
 """Shared test utilities: WAV/SMF builders, random instances, a
-full-length filterbank oracle, and an exhaustive path-enumeration oracle
+per-group filterbank oracle, and an exhaustive path-enumeration oracle
 for the aligner."""
 
 import math
@@ -9,8 +9,8 @@ import numpy as np
 from scipy import signal
 
 from scoresync import (AlignmentParams, FeaturePair, ScoreOnset,
-                       ScoreSequence, Spectrogram, TempoMap,
-                       design_filterbank)
+                       ScoreSequence, Spectrogram, TempoMap, band_edges,
+                       design_bandpass)
 
 # --- WAV construction -------------------------------------------------
 
@@ -115,25 +115,40 @@ def warped_center(lo, hi, sample_rate):
                                            / (2.0 * sample_rate))
 
 
-def reference_spectrogram(audio, config, q=1):
-    """Full-length oracle for ``compute_spectrogram(audio, config).values``
-    at decimation factor ``q``: ``resample_poly`` by ``q`` (skipped at 1),
-    one lfilter pass per band designed at ``sample_rate / q`` over the
-    whole signal, ``np.abs``, then for each of the ``len(samples) // hop``
-    frames of the input the maximum over its own slice
-    ``[t * h, t * h + h * window_factor)`` with ``h = hop // q``."""
+def reference_spectrogram(audio, config):
+    """Per-group oracle for ``compute_spectrogram(audio, config).values``.
+
+    The bands are taken 12 at a time from the top band down. Group g runs
+    at the hop ``h_g = min(h_prev, max(64, ceil(2.5 * top edge / rate)))``,
+    with ``rate`` the effective frame rate and ``h_prev`` the hop of the
+    group above (the input hop for the top group). Its signal is the
+    previous group's, resampled by ``h_g / h_prev`` in lowest terms with
+    ``resample_poly`` when the hop falls. Each band is designed at
+    ``h_g * rate`` and filtered by one lfilter pass over the whole group
+    signal; frame t of the input is the maximum of ``|y|`` over the slice
+    ``[t * h_g, t * h_g + h_g * window_factor)``."""
     samples = np.asarray(audio.samples, dtype=np.float64)
     hop = int(round(audio.sample_rate / config.frame_rate))
     num_frames = len(samples) // hop
-    if q > 1:
-        samples = signal.resample_poly(samples, 1, q)
-    y = np.array([np.abs(signal.lfilter(*coeffs.ba, samples))
-                  for coeffs in design_filterbank(config,
-                                                  audio.sample_rate / q)])
-    h = hop // q
-    w = h * config.window_factor
-    return np.array([y[:, t * h:t * h + w].max(axis=1)
-                     for t in range(num_frames)]).T
+    pitches = [int(p) for p in config.band_pitches]
+    rows = {}
+    h_prev = hop
+    for top in range(len(pitches), 0, -12):
+        edge = band_edges(pitches[top - 1], config)[1]
+        h = min(h_prev, max(64, math.ceil(2.5 * edge * hop
+                                          / audio.sample_rate)))
+        if h < h_prev:
+            g = math.gcd(h, h_prev)
+            samples = signal.resample_poly(samples, h // g, h_prev // g)
+        h_prev = h
+        w = h * config.window_factor
+        for pitch in pitches[max(0, top - 12):top]:
+            coeffs = design_bandpass(*band_edges(pitch, config),
+                                     audio.sample_rate * h / hop)
+            y = np.abs(signal.lfilter(*coeffs.ba, samples))
+            rows[pitch] = [y[t * h:t * h + w].max()
+                           for t in range(num_frames)]
+    return np.array([rows[pitch] for pitch in pitches])
 
 
 # --- feature / score factories -----------------------------------------

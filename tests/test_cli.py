@@ -64,6 +64,15 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("scoresync: synth: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, -2 ** 40])
+    def test_negative_seed_is_config_error(self, score_path, tmp_path,
+                                           capsys, seed):
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", score_path, "--out", str(out),
+                     "--seed", str(seed)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("scoresync: synth: ")
+        assert not out.exists()
+
 
 class TestAlign:
     def test_alignment_csv_row_per_onset(self, piece, tmp_path):
@@ -177,7 +186,7 @@ class TestAlign:
 
     def test_align_from_full_precision_dump_matches_at_44k(self, score_path,
                                                            tmp_path):
-        # at 44.1 kHz the filterbank runs on audio decimated by 3
+        # at 44.1 kHz every band group runs on a resampled signal
         wav = str(tmp_path / "piece44k.wav")
         assert main(["synth", "--score", score_path, "--tempo", "0:120",
                      "--noise-level", "0.01", "--seed", "7",

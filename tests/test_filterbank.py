@@ -299,22 +299,44 @@ class TestBlockwiseFiltering:
 
 
 class TestDecimatedFiltering:
-    """Where a factor q > 1 divides the hop, the signal is resampled to
-    1/q of its rate before filtering, and the spectrogram is exactly that
-    of one full-length pass per band over the resampled signal."""
+    """Each group of 12 bands runs at its own rate, reached by a cascade of
+    ``resample_poly`` calls, and the spectrogram is exactly that of one
+    full-length pass per band over its group's signal."""
 
-    @pytest.mark.parametrize("sample_rate, q", [
-        (44100, 3), (48000, 4), (96000, 8), (22050, 1), (11025, 1),
-        (8000, 1)])
-    def test_factor_divides_hop_and_keeps_top_band(self, sample_rate, q):
-        config = FilterbankConfig()
-        hop = int(round(sample_rate / config.frame_rate))
-        assert filterbank._decimation_factor(sample_rate, hop, config) == q
+    # hop of each group, top group first, at 50 and 100 frames per second
+    @pytest.mark.parametrize("sample_rate, frame_rate, hops", [
+        pytest.param(96000, 50.0, [216, 108] + [64] * 6, id="96000-50"),
+        pytest.param(48000, 50.0, [216, 108] + [64] * 6, id="48000-50"),
+        pytest.param(44100, 50.0, [216, 108] + [64] * 6, id="44100-50"),
+        pytest.param(22050, 50.0, [216, 108] + [64] * 6, id="22050-50"),
+        pytest.param(11025, 50.0, [215, 108] + [64] * 6, id="11025-50"),
+        pytest.param(96000, 100.0, [108] + [64] * 7, id="96000-100"),
+        pytest.param(48000, 100.0, [108] + [64] * 7, id="48000-100"),
+        pytest.param(44100, 100.0, [108] + [64] * 7, id="44100-100"),
+        pytest.param(22050, 100.0, [108] + [64] * 7, id="22050-100"),
+        pytest.param(11025, 100.0, [108] + [64] * 7, id="11025-100")])
+    def test_group_plan_keeps_every_band_below_its_rate(
+            self, sample_rate, frame_rate, hops):
+        config = FilterbankConfig(frame_rate=frame_rate)
+        hop = int(round(sample_rate / frame_rate))
+        groups = filterbank._band_groups(config, hop, sample_rate / hop)
+        assert [group_hop for _, group_hop in groups] == hops
+        # 12 bands a group from the top down, every band in one group
+        assert [list(rows) for rows, _ in groups] == \
+            [list(range(max(0, stop - 12), stop))
+             for stop in range(88, 0, -12)]
+        for rows, group_hop in groups:
+            _, top = band_edges(int(config.band_pitches[rows[-1]]), config)
+            assert top <= 0.4 * sample_rate * group_hop / hop
+            assert group_hop <= hop
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     @pytest.mark.parametrize("block_hops", [1, 2, None])
-    @pytest.mark.parametrize("sample_rate, q", [(44100, 3), (48000, 4)])
-    def test_matches_full_length_oracle(self, monkeypatch, sample_rate, q,
+    # ids name each rate with its former single decimation factor, so
+    # these results keep their names across versions
+    @pytest.mark.parametrize("sample_rate", [44100, 48000],
+                             ids=["44100-3", "48000-4"])
+    def test_matches_full_length_oracle(self, monkeypatch, sample_rate,
                                         block_hops, factor):
         block_hops = TestBlockwiseFiltering.use_block_hops(monkeypatch,
                                                            block_hops)
@@ -322,14 +344,14 @@ class TestDecimatedFiltering:
         config = FilterbankConfig(window_factor=factor)
         hop = int(round(sample_rate / config.frame_rate))
         whole = (2 * block_hops + 1) * hop
-        # lengths that leave a partial last hop also leave a partial last
-        # group of q samples
+        # a short signal, and three blocks with the last one partial;
+        # ragged lengths leave a partial last hop
         for length in (hop + 5, whole, whole + 1, whole + hop - 1):
             audio = AudioBuffer(rng.uniform(-0.5, 0.5, length), sample_rate)
             values = compute_spectrogram(audio, config).values
             assert values.shape == (88, length // hop)
             assert np.array_equal(values,
-                                  reference_spectrogram(audio, config, q))
+                                  reference_spectrogram(audio, config))
 
     def test_scaling_input_scales_output_exactly(self):
         rng = np.random.default_rng(6)
@@ -338,14 +360,16 @@ class TestDecimatedFiltering:
         b = compute_spectrogram(AudioBuffer(2.0 * samples, 44100))
         assert np.array_equal(b.values, 2.0 * a.values)
 
-    def test_end_to_end_accuracy_at_44k(self):
-        """Pooled over seeded pieces rendered at 44.1 kHz: median error
-        <= 20 ms, >= 90% of onsets below 50 ms, mean <= 40 ms (the bounds
-        of the 22.05 kHz synthetic suite)."""
+    @staticmethod
+    def assert_end_to_end_accuracy(sample_rate):
+        """Pooled over seeded pieces rendered at ``sample_rate``: median
+        error <= 20 ms, >= 90% of onsets below 50 ms, mean <= 40 ms (the
+        bounds of the 22.05 kHz synthetic suite)."""
         errors = []
         for seed in range(1000, 1004):
             score, tempo_map, rng = random_piece(seed=seed)
-            audio, truth = synthesize(score, tempo_map, sample_rate=44100,
+            audio, truth = synthesize(score, tempo_map,
+                                      sample_rate=sample_rate,
                                       noise_level=0.01, rng=rng)
             result = align(score, extract_features(compute_spectrogram(audio)))
             errors.extend(evaluate(result.times, truth).errors_ms)
@@ -353,6 +377,13 @@ class TestDecimatedFiltering:
         assert np.median(errors) <= 20.0
         assert np.mean(errors < 50.0) >= 0.9
         assert errors.mean() <= 40.0
+
+    def test_end_to_end_accuracy_at_44k(self):
+        self.assert_end_to_end_accuracy(44100)
+
+    @pytest.mark.parametrize("sample_rate", [11025, 22050])
+    def test_end_to_end_accuracy_below_44k(self, sample_rate):
+        self.assert_end_to_end_accuracy(sample_rate)
 
 
 class TestConfigValidation:
@@ -373,21 +404,38 @@ class TestConfigValidation:
             FilterbankConfig(**{field: value})
 
 
-# 14700 and 12000 Hz are the decimated rates of 44.1 and 48 kHz
+def assert_response_criteria(pitch, sample_rate):
+    """Stable poles, warped center within 1 dB of the peak, quarter-tone
+    edges at -3 dB (within 1 dB) of the peak."""
+    lo, hi = band_edges(int(pitch))
+    coeffs = design_bandpass(lo, hi, sample_rate)
+    b, a = coeffs.ba
+    assert np.all(coeffs.pole_magnitudes() < 1.0)
+    grid = np.linspace(lo, hi, 101)
+    peak = magnitude_db(b, a, grid, sample_rate).max()
+    center = warped_center(lo, hi, sample_rate)
+    assert abs(magnitude_db(b, a, [center], sample_rate)[0] - peak) <= 1.0
+    for edge in (lo, hi):
+        assert magnitude_db(b, a, [edge], sample_rate)[0] - peak \
+            == pytest.approx(-3.0, abs=1.0)
+
+
+# 14700 and 12000 Hz are a third and a quarter of 44.1 and 48 kHz
 @pytest.mark.parametrize("sample_rate", [44100, 48000, 14700, 12000])
 def test_response_criteria_all_bands(sample_rate):
-    """Every default band: stable poles, warped center within 1 dB of the
-    peak, quarter-tone edges at -3 dB (within 1 dB) of the peak."""
+    """Every default band meets the response criteria at one rate."""
+    for pitch in FilterbankConfig().band_pitches:
+        assert_response_criteria(pitch, sample_rate)
+
+
+@pytest.mark.parametrize("sample_rate", [11025, 22050, 44100, 48000])
+def test_response_criteria_at_group_rates(sample_rate):
+    """Every default band meets the response criteria at the rate of its
+    group, as ``compute_spectrogram`` designs it for this input rate."""
     config = FilterbankConfig()
-    for pitch in config.band_pitches:
-        lo, hi = band_edges(int(pitch))
-        coeffs = design_bandpass(lo, hi, sample_rate)
-        b, a = coeffs.ba
-        assert np.all(coeffs.pole_magnitudes() < 1.0)
-        grid = np.linspace(lo, hi, 101)
-        peak = magnitude_db(b, a, grid, sample_rate).max()
-        center = warped_center(lo, hi, sample_rate)
-        assert abs(magnitude_db(b, a, [center], sample_rate)[0] - peak) <= 1.0
-        for edge in (lo, hi):
-            assert magnitude_db(b, a, [edge], sample_rate)[0] - peak \
-                == pytest.approx(-3.0, abs=1.0)
+    hop = int(round(sample_rate / config.frame_rate))
+    for rows, group_hop in filterbank._band_groups(config, hop,
+                                                   sample_rate / hop):
+        for row in rows:
+            assert_response_criteria(config.band_pitches[row],
+                                     sample_rate * group_hop / hop)
