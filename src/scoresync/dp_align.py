@@ -9,19 +9,26 @@ Every cell carries its own beat-period estimate (frames per beat), smoothed
 after each accepted transition, so the stretch penalty tracks local tempo
 instead of assuming a global one.
 
-The cost and backpointer tables are M x N: row r holds the placements of
-chord r. Chord 0 is reached from a virtual start at frame 0, which needs
-no row of its own: it scans a fixed-length opening window with no stretch
-charge, since leading silence says nothing about tempo. After each row the
+Row r holds the placements of chord r, stored over its live span only:
+its first frame plus cost, backpointer and beat-period arrays from its
+first to its last finite cell (the beat periods are kept only until the
+next row is filled). Every frame outside the span is unreachable, so the
+rows take memory in proportion to the cells that survive pruning, not to
+chords x frames, and chord costs are computed only on each row's span.
+Chord 0 is reached from a virtual start at frame 0, which needs no row of
+its own: it scans a fixed-length opening window with no stretch charge,
+since leading silence says nothing about tempo. After each row the
 accumulated costs can be pruned against the row minimum
 (``reset_threshold``), a beam that bounds the work per chord, so the time
 grows linearly with the recording length. Without a beam the search stays
 exact and is pruned by bounds instead: a beam pass prices a real path as
 the upper bound, a backward pass gives a lower bound on every cell's
 cost-to-go, and a cell whose cost plus that bound exceeds the upper bound
-is dropped. The output is that of relaxing every window pair, the work
-grows with the cells that survive (1.6-2.7% of chords x frames on the
-synthetic etude pieces), and the lower-bound table adds M x N x 8 bytes.
+is dropped. The output is that of relaxing every window pair, and the
+work grows with the cells that survive (1.6-2.7% of chords x frames on
+the synthetic etude pieces). That lower-bound table is the one dense
+M x N array left, 8 bytes a cell, built on this default path only; the
+per-band sustained-spectral vectors are as long as the features.
 
 The path is read off the backpointers, from the cheapest cell of the last
 row (the smallest frame on a tie) down to row 1; the source of row 0 is
@@ -33,7 +40,8 @@ pairs in ascending source order, in chunks of a fixed pair budget. Each
 chunk takes the per-destination minimum and the first pair reaching it,
 and is merged into the row with a strict ``<``. A NaN candidate never
 wins, and on equal costs the smaller source frame wins, both within a
-chunk and across chunks.
+chunk and across chunks. The new row is laid out over the union of the
+windows and trimmed to its finite cells once it is pruned.
 
 All cost arithmetic keeps a fixed evaluation order; exhaustive path
 enumeration over the same terms reproduces the accumulated costs exactly.
@@ -41,7 +49,8 @@ enumeration over the same terms reproduces the accumulated costs exactly.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, get_args
+from functools import partial
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 from scipy.ndimage import minimum_filter1d
@@ -201,23 +210,24 @@ def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray
 
 def _chord_cost_vectors(onsets_values: np.ndarray,
                         sustained: dict[int, np.ndarray], rows: np.ndarray,
-                        params: AlignmentParams
+                        params: AlignmentParams, start: int, stop: int
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame onset and sustained-spectral costs for one chord, from
-    the ``_sustained_spec`` vectors of its band rows: ``1 - value`` over
-    the rows, summed with ``np.add`` and divided for the mean, or folded
-    with ``np.minimum`` for the minimum, in one loop.
+    """Onset and sustained-spectral costs of one chord at the frames
+    ``start .. stop - 1``, from the ``_sustained_spec`` vectors of its
+    band rows: ``1 - value`` over the rows, summed with ``np.add`` and
+    divided for the mean, or folded with ``np.minimum`` for the minimum,
+    in one loop.
 
     Pitches accumulate in row order; keep that order fixed, results must be
     bit-reproducible against scalar re-evaluation.
     """
     mean = params.pitch_aggregation == "mean"
     combine = np.add if mean else np.minimum
-    con = np.full(onsets_values.shape[1], 0.0 if mean else np.inf)
+    con = np.full(stop - start, 0.0 if mean else np.inf)
     csp = con.copy()
     for r in rows:
-        combine(con, 1.0 - onsets_values[r], out=con)
-        combine(csp, 1.0 - sustained[r], out=csp)
+        combine(con, 1.0 - onsets_values[r, start:stop], out=con)
+        combine(csp, 1.0 - sustained[r][start:stop], out=csp)
     if mean:
         con /= len(rows)
         csp /= len(rows)
@@ -256,75 +266,95 @@ def align(score: ScoreSequence, features: FeaturePair,
     sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
                  for r in np.unique(np.concatenate(chord_rows))}
 
-    def weighted_costs(target):
+    def weighted_costs(target, start=0, stop=n):
         con, csp = _chord_cost_vectors(onsets_values, sustained,
-                                       chord_rows[target], params)
+                                       chord_rows[target], params, start,
+                                       stop)
         return params.w_onset * con, params.w_spec * csp
 
     if params.reset_threshold is None:
-        d, back = _bounded_tables(beats, n, rate, weighted_costs, params)
+        rows = _bounded_tables(beats, n, rate, weighted_costs, params)
     else:
-        d, back = _fill_tables(beats, n, rate, weighted_costs, params)
+        rows = _fill_tables(beats, n, rate, weighted_costs, params)
 
     frames = [0] * m
-    frames[-1] = int(np.argmin(d[-1]))  # first occurrence: smallest frame
+    # first occurrence: smallest frame
+    frames[-1] = rows[-1].lo + int(np.argmin(rows[-1].d))
     for target in range(m - 1, 0, -1):
-        frames[target - 1] = int(back[target, frames[target]])
+        row = rows[target]
+        frames[target - 1] = int(row.back[frames[target] - row.lo])
     entries = [AlignmentEntry(score_index=idx, beat=onset.beat,
                               pitches=onset.pitches, frame=frame,
                               time_s=frame / rate,
-                              cumulative_cost=float(d[idx, frame]))
-               for idx, (onset, frame) in enumerate(zip(score.onsets,
-                                                        frames))]
+                              cumulative_cost=float(row.d[frame - row.lo]))
+               for idx, (onset, frame, row) in enumerate(
+                   zip(score.onsets, frames, rows))]
     return AlignmentResult(entries=entries,
                            total_cost=entries[-1].cumulative_cost,
                            effective_frame_rate=rate)
 
 
+class _Row(NamedTuple):
+    """The cells of one chord at the frames ``lo .. lo + len(d) - 1``:
+    accumulated costs and backpointers (source frames of the row before).
+    Every frame outside that span is unreachable."""
+    lo: int
+    d: np.ndarray
+    back: np.ndarray
+
+
 def _fill_tables(beats, n: int, rate: float, weighted_costs,
                  params: AlignmentParams, h=None, cut=None):
-    """The cost and backpointer tables, row by row.
+    """The rows of the DP, one ``_Row`` per chord.
 
-    ``weighted_costs(r)`` gives the weighted onset and sustained-spectral
-    cost vectors of chord ``r``. A ``reset_threshold`` beam prunes each row
-    against its minimum. With a cost-to-go bound ``h`` every cell with
-    ``d + h[r] > cut[r]`` is pruned; a row left empty then returns None,
+    ``weighted_costs(r, start, stop)`` gives the weighted onset and
+    sustained-spectral costs of chord ``r`` at the frames from ``start``
+    up to ``stop``. A row is first laid out over the union of its live
+    sources' windows, then pruned: by a ``reset_threshold`` beam against
+    its minimum, and, with a cost-to-go bound ``h``, wherever
+    ``d + h[r] > cut[r]``. It is stored trimmed to its first and last
+    finite cell, so the rows take memory in proportion to their live
+    spans, not to the frame count. A row left empty under ``h`` returns None,
     since it cannot tell an infeasible problem from a cut below the
     optimum.
     """
-    m = len(beats)
-    d = np.full((m, n), np.inf)
-    back = np.full((m, n), -1, dtype=np.int32)
-    bp_row = np.full(n, float(params.bp_init))
-
-    for target in range(m):
-        w_con, w_csp = weighted_costs(target)
+    rows = []
+    for target in range(len(beats)):
         if target == 0:
             # the virtual start (cost 0.0 at frame 0) reaches the opening
             # window with no stretch charge and the beat period left at
             # bp_init; fmin keeps a NaN step from winning. The end is
             # clipped as a float: a huge window gives inf, which floor()
             # cannot take
-            hi = math.floor(min(params.initial_window * rate, n - 1))
-            sl = slice(0, hi + 1)
-            np.fmin(d[0, sl], 0.0 + (w_con[sl] + w_csp[sl]), out=d[0, sl])
+            lo = 0
+            width = math.floor(min(params.initial_window * rate, n - 1)) + 1
+            w_con, w_csp = weighted_costs(0, 0, width)
+            d = np.fmin(np.inf, 0.0 + (w_con + w_csp))
+            back = np.full(width, -1, dtype=np.int32)
+            bp = np.full(width, float(params.bp_init))
         else:
             dscore = beats[target] - beats[target - 1]
-            bp_row = _relax_row(d[target - 1], bp_row, d[target],
-                                back[target], w_con, w_csp, dscore, params)
+            lo, d, back, bp = _relax_row(rows[-1].d, bp, rows[-1].lo,
+                                         partial(weighted_costs, target),
+                                         dscore, params, n)
 
-        row = d[target]
         if h is not None:
-            row[row + h[target] > cut[target]] = np.inf
-        if not np.isfinite(row).any():
+            d[d + h[target, lo:lo + len(d)] > cut[target]] = np.inf
+        if not np.isfinite(d).any():
             if h is not None:
                 return None
             raise InfeasiblePathError(
                 f"no feasible frame for score onset {target} "
                 f"(beat {beats[target]:g})", score_index=target)
         if params.reset_threshold is not None:
-            row[row > row.min() + params.reset_threshold] = np.inf
-    return d, back
+            d[d > d.min() + params.reset_threshold] = np.inf
+        live = np.flatnonzero(np.isfinite(d))
+        first, stop = int(live[0]), int(live[-1]) + 1
+        # copies, so the untrimmed arrays are freed
+        rows.append(_Row(lo + first, d[first:stop].copy(),
+                         back[first:stop].copy()))
+        bp = bp[first:stop]
+    return rows
 
 
 # beam of the pass whose total cost bounds the exact search from above
@@ -370,10 +400,10 @@ def _beam_bound(beats, n: int, rate: float, weighted_costs,
     """Total cost of a ``_BOUND_BEAM`` pass; +inf when it finds no path."""
     beam = replace(params, reset_threshold=_BOUND_BEAM)
     try:
-        d, _ = _fill_tables(beats, n, rate, weighted_costs, beam)
+        rows = _fill_tables(beats, n, rate, weighted_costs, beam)
     except InfeasiblePathError:
         return math.inf
-    return float(d[-1].min())
+    return float(rows[-1].d.min())
 
 
 def _cost_to_go(beats, n: int, weighted_costs,
@@ -405,29 +435,39 @@ def _cost_to_go(beats, n: int, weighted_costs,
     return h
 
 
-def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
-               b_dst: np.ndarray, w_con: np.ndarray, w_csp: np.ndarray,
-               dscore: float, params: AlignmentParams) -> np.ndarray:
-    """Relax every window pair out of the finite cells of ``d_src`` into
-    ``d_dst``/``b_dst`` (updated in place), charging the weighted chord
-    costs ``w_con``/``w_csp`` of each destination; returns the beat
-    periods of the destination row.
+def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, src_lo: int,
+               costs, dscore: float, params: AlignmentParams,
+               n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Relax every window pair out of the finite cells of ``d_src``, a
+    row over the frames ``src_lo ..`` with beat periods ``bp_src``, into a
+    new row over the union of their windows. ``costs(start, stop)`` gives
+    the weighted chord costs ``w_con``/``w_csp`` of the destination frames
+    ``start .. stop - 1``. Returns the new row's first frame, costs,
+    backpointers and beat periods; all empty when no window is.
 
     Pairs run in ascending source order, ``_PAIR_CHUNK`` at a time. A
     chunk wins a destination with its smallest candidate, taken by the
     first pair reaching it, and only if that beats the row strictly; so a
     tie goes to the smaller source, whichever chunks the pairs fall in.
     """
-    n = len(d_dst)
-    bp_dst = np.full(n, float(params.bp_init))
     src = np.flatnonzero(np.isfinite(d_src))
-    lo, hi = _frame_windows(src, bp_src[src], dscore, params, n)
+    lo, hi = _frame_windows(src_lo + src, bp_src[src], dscore, params, n)
     keep = hi >= lo
-    src, lo, widths = src[keep], lo[keep], (hi - lo + 1)[keep]
+    src, lo, hi = src[keep], lo[keep], hi[keep]
+    if not len(src):
+        return 0, np.empty(0), np.empty(0, dtype=np.int32), np.empty(0)
+    # destination frames are counted from start, the new row's first
+    start, stop = int(lo.min()), int(hi.max()) + 1
+    w_con, w_csp = costs(start, stop)
+    d_dst = np.full(stop - start, np.inf)
+    b_dst = np.full(stop - start, -1, dtype=np.int32)
+    bp_dst = np.full(stop - start, float(params.bp_init))
+    widths = hi - lo + 1
     ends = np.cumsum(widths)
     starts = ends - widths
-    total = int(ends[-1]) if len(ends) else 0
-    shift = lo - starts  # destination of pair p is p + shift[source]
+    total = int(ends[-1])
+    shift = lo - start - starts  # destination of pair p is p + shift[source]
+    j_s = src_lo - start + src
     bp_s = bp_src[src]
     d_s = d_src[src]
 
@@ -437,7 +477,7 @@ def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
         s0 = int(np.searchsorted(ends, p0, side="right"))
         s1 = int(np.searchsorted(starts, p1, side="left"))
         counts = np.minimum(ends[s0:s1], p1) - np.maximum(starts[s0:s1], p0)
-        j = np.repeat(src[s0:s1], counts)
+        j = np.repeat(j_s[s0:s1], counts)
         dst = np.arange(p0, p1) + np.repeat(shift[s0:s1], counts)
         dframes = (dst - j).astype(np.float64)
         bp = np.repeat(bp_s[s0:s1], counts)
@@ -458,7 +498,7 @@ def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, d_dst: np.ndarray,
         pair = first[won]
         won += base
         d_dst[won] = cand[pair]
-        b_dst[won] = j[pair]
+        b_dst[won] = start + j[pair]
         bp_dst[won] = update_beat_period(dframes[pair], dscore, bp[pair],
                                          params)
-    return bp_dst
+    return start, d_dst, b_dst, bp_dst

@@ -1,8 +1,9 @@
 """Delimited-text and JSON serialization of features, alignments, and reports.
 
 All numeric output uses 6 significant digits unless full precision is
-requested (full precision round-trips float64 exactly, which lets a dumped
-raw spectrogram reproduce an alignment bit for bit).
+requested. Full precision round-trips float64 exactly, which lets a dumped
+raw spectrogram reproduce an alignment bit for bit: feature CSVs write 17
+significant digits, alignment and truth CSVs the shortest ``repr``.
 """
 
 import json
@@ -18,36 +19,40 @@ from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
 
 
-def _formatter(precision):
-    """Formats a Python float to ``precision`` digits or in full."""
-    return repr if precision == "full" else f"{{:.{int(precision)}g}}".format
-
-
 def _fmt(value: float, precision) -> str:
-    return _formatter(precision)(float(value))
+    """``value`` to ``precision`` significant digits, or its shortest
+    round-tripping ``repr`` in full."""
+    value = float(value)
+    if precision == "full":
+        return repr(value)
+    return f"{value:.{int(precision)}g}"
 
 
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
                       precision=6) -> None:
-    """Header ``frame,p<low>,...,p<high>``, one row per frame."""
+    """Header ``frame,p<low>,...,p<high>``, one row per frame, each
+    formatted by one ``%`` over the whole row."""
     header = "frame," + ",".join(f"p{p}" for p in spectrogram.band_pitches)
     out.write(header + "\n")
-    fmt = _formatter(precision)
+    fmt = "%.17g" if precision == "full" else f"%.{int(precision)}g"
+    line = "%d," + ",".join([fmt] * len(spectrogram.band_pitches)) + "\n"
     for t, row in enumerate(spectrogram.values.T.tolist()):
-        out.write(f"{t},{','.join(map(fmt, row))}\n")
+        out.write(line % (t, *row))
 
 
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
     The CSV carries no frame rate, so the effective rate must be supplied.
-    ValueError unless it has rows, all as wide as the header, of finite
-    non-negative values.
+    ValueError unless it has at least one band column and rows, all as
+    wide as the header, of finite non-negative values.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
         if not header or header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
+        if len(header) < 2:
+            raise ValueError(f"{path!r}: no band columns after 'frame'")
         pitches = np.array([int(col[1:]) for col in header[1:]])
         with warnings.catch_warnings():
             # a header-only CSV has no rows; that is rejected below

@@ -223,6 +223,13 @@ class TestAlign:
         raw, lines = self._dump_rows(piece, tmp_path)
         assert self._align_dump(piece, raw, lines[:1]) == EXIT_IO
 
+    def test_dump_without_band_columns_is_io_error(self, piece, tmp_path,
+                                                   capsys):
+        raw, lines = self._dump_rows(piece, tmp_path)
+        frames_only = [line.split(",", 1)[0] for line in lines]
+        assert self._align_dump(piece, raw, frames_only) == EXIT_IO
+        assert "no band columns" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [
         ("--initial-window", "nan"), ("--initial-window", "inf"),
         ("--frame-rate", "nan"), ("--stretch-max", "inf"),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -619,6 +620,35 @@ class TestPathReadout:
             assert result.total_cost == result.entries[-1].cumulative_cost
         assert checked >= 40
 
+
+class TestRowStorage:
+    """Rows are stored over their live spans, so with a beam the DP's
+    memory follows the surviving cells, not chords x frames."""
+
+    def test_beam_memory_stays_far_below_dense_tables(self):
+        # one chord every 500 frames over 20,000 frames; every other
+        # cell costs at least 2.5, so the beam keeps about one per row
+        m, n, gap = 40, 20_000, 500
+        onsets = np.zeros((6, n))
+        spec = np.zeros((6, n))
+        true = 100 + gap * np.arange(m)
+        rows = np.arange(m) % 6
+        onsets[rows, true] = 1.0
+        for k in range(1, 4):
+            spec[rows, true + k] = 1.0
+        feats = make_features(onsets, spec)
+        score = make_score(20.0 * np.arange(m), [[60 + r] for r in rows])
+        params = dataclasses.replace(DEFAULT, reset_threshold=2.0,
+                                     w_onset=1.5)
+        tracemalloc.start()
+        try:
+            result = align(score, feats, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.frames == true.tolist()
+        # dense cost and backpointer tables alone take m * n * 12 bytes
+        assert peak < m * n * 12 / 4
 
 class TestParamsValidation:
     def test_stretch_limits_ordered(self):
