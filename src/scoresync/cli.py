@@ -331,13 +331,13 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        entries = formats.read_alignment_csv(args.alignment)
+        predicted = formats.read_alignment_csv(args.alignment)
         truth = formats.read_truth_csv(args.truth)
     except (OSError, ValueError) as exc:
         return _fail(f"eval: {exc}", EXIT_IO)
 
     try:
-        report = synth_eval.evaluate([e["time_s"] for e in entries], truth)
+        report = synth_eval.evaluate(predicted, truth)
     except ValueError as exc:
         return _fail(f"eval: {exc}", EXIT_SCORE)
 

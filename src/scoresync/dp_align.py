@@ -28,7 +28,10 @@ is dropped. The output is that of relaxing every window pair, and the
 work grows with the cells that survive (1.6-2.7% of chords x frames on
 the synthetic etude pieces). That lower-bound table is the one dense
 M x N array left, 8 bytes a cell, built on this default path only; the
-per-band sustained-spectral vectors are as long as the features.
+per-band sustained-spectral vectors are as long as the features. Both
+forward windows, the sustained lookahead of every frame and the widened
+window of the cost-to-go bound, are sliding minima (``_forward_min``):
+one O(N) pass each, however wide the window.
 
 The path is read off the backpointers, from the cheapest cell of the last
 row (the smallest frame on a tie) down to row 1; the source of row 0 is
@@ -195,17 +198,24 @@ def update_beat_period(dframes, dscore: float, bp,
 _PAIR_CHUNK = 1 << 15
 
 
+def _forward_min(values: np.ndarray, width: int, pad: float) -> np.ndarray:
+    """min of ``values[j + 1 .. j + width]`` per frame j, reading ``pad``
+    past the last frame, in one O(N) sliding-minimum pass."""
+    # nxt[j] belongs to frame j + 1, so the window [j, j + width) of nxt
+    # is the window [j + 1, j + width] of the frames
+    nxt = np.append(values[1:], pad)
+    return minimum_filter1d(nxt, width, mode="constant", cval=pad,
+                            origin=-(width // 2))
+
+
 def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray:
     """min over k = 1..k_max of spec[row, min(j + k, N - 1)], per frame j.
 
-    Every k >= N - 1 reads frame N - 1 alone, so k stops there.
+    Every k >= N - 1 reads frame N - 1 alone, so a window wider than N
+    reads nothing more.
     """
-    n = spec_values.shape[1]
-    base = np.arange(n)
-    out = spec_values[row, np.minimum(base + 1, n - 1)].copy()
-    for k in range(2, min(k_max, n - 1) + 1):
-        np.minimum(out, spec_values[row, np.minimum(base + k, n - 1)], out=out)
-    return out
+    values = spec_values[row]
+    return _forward_min(values, min(k_max, len(values)), values[-1])
 
 
 def _chord_cost_vectors(onsets_values: np.ndarray,
@@ -427,11 +437,7 @@ def _cost_to_go(beats, n: int, weighted_costs,
         if w < 1:
             h[r - 1] = np.inf
             continue
-        # nxt[j] belongs to frame j + 1, so the window [j, j + w) of nxt
-        # is the window [j + 1, j + w] of the frames
-        nxt = np.append((w_con + w_csp + h[r])[1:], np.inf)
-        h[r - 1] = minimum_filter1d(nxt, w, mode="constant", cval=np.inf,
-                                    origin=-(w // 2))
+        h[r - 1] = _forward_min(w_con + w_csp + h[r], w, np.inf)
     return h
 
 

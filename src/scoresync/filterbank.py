@@ -32,11 +32,15 @@ pass over the whole group signal; each block is reduced to per-hop maxima
 ``ceil(len(samples) / hop)`` hops, so the per-hop maxima of all bands
 form one band x hop matrix, and frame t is the maximum of hops
 t .. t + window_factor - 1 of that matrix (``_frame_maxima``), truncated
-at the end of the signal. All bands share one thread per available core.
+at the end of the signal: one sliding-maximum pass, however wide the
+window. The groups run one at a time, each group's bands on one thread
+per available core. Running the next group's resample alongside the
+filtering would gain nothing: ``resample_poly`` holds the interpreter
+lock for its whole call, so it stalls the filtering threads anyway.
 Beyond the input samples and the output matrix, the front end therefore
-holds at most two group signals (the group being filtered and the next,
-which is being resampled from it; each is freed once its bands are done)
-and one block per thread, however long the recording is.
+holds at most two group signals (one being resampled from the other,
+which is freed then) and one block per thread, however long the
+recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -47,9 +51,11 @@ so sample rates that do not divide evenly stay exact.
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 from scipy import signal
+from scipy.ndimage import maximum_filter1d
 
 from .audio_io import AudioBuffer
 from .errors import ConfigurationError, EmptyAudioError, check_finite
@@ -115,7 +121,6 @@ class BandpassCoefficients:
     b2: float
     a1: float
     a2: float
-    center_freq: float
 
     @property
     def ba(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +197,7 @@ def design_bandpass(lo: float, hi: float,
     b, a = signal.butter(1, [lo, hi], btype="bandpass", fs=sample_rate)
     coeffs = BandpassCoefficients(
         b0=float(b[0]), b1=float(b[1]), b2=float(b[2]),
-        a1=float(a[1]), a2=float(a[2]),
-        center_freq=float(np.sqrt(lo * hi)))
+        a1=float(a[1]), a2=float(a[2]))
     if np.any(coeffs.pole_magnitudes() >= 1.0):
         raise ConfigurationError(
             f"unstable design for band ({lo:.3f}, {hi:.3f}) Hz "
@@ -219,14 +223,18 @@ def design_filterbank(config: FilterbankConfig,
 def _frame_maxima(hop_maxima: np.ndarray, window_factor: int,
                   num_frames: int) -> np.ndarray:
     """Frame t is the maximum of ``hop_maxima[..., t:t + window_factor]``,
-    the window truncated at the end."""
-    out = np.full(hop_maxima.shape[:-1] + (num_frames,), -np.inf)
-    # offsets past the last hop add nothing to any frame
-    for k in range(min(window_factor, hop_maxima.shape[-1])):
-        size = min(num_frames, hop_maxima.shape[-1] - k)
-        np.maximum(out[..., :size], hop_maxima[..., k:k + size],
-                   out=out[..., :size])
-    return out
+    the window truncated at the end, for the first ``num_frames`` frames.
+
+    One O(hops) sliding-maximum pass per band, however wide the window;
+    a window wider than the hops reads nothing more. The pass overwrites
+    ``hop_maxima`` in place (as scipy's own separable filters chain their
+    1-D passes), so framing allocates only the result, which is
+    C-contiguous, not a view of ``hop_maxima``.
+    """
+    w = min(window_factor, hop_maxima.shape[-1])
+    maximum_filter1d(hop_maxima, w, axis=-1, output=hop_maxima,
+                     mode="constant", cval=-np.inf, origin=-(w // 2))
+    return np.ascontiguousarray(hop_maxima[..., :num_frames])
 
 
 def _num_workers(num_bands: int) -> int:
@@ -292,9 +300,9 @@ def compute_spectrogram(audio: AudioBuffer,
     ``sample_rate / hop`` are those of the input. Each band is filtered
     causally (forward pass, zero initial state); a frame holds the
     maximum of |filtered| over its window. Window width is
-    ``window_factor`` hops (default: non-overlapping windows). Bands are
-    filtered block by block on one thread per available core, and a
-    group's signal is freed once its bands are done.
+    ``window_factor`` hops (default: non-overlapping windows). A group's
+    bands are filtered block by block on one thread per available core,
+    and the group is done before the next one is resampled from it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -315,7 +323,7 @@ def compute_spectrogram(audio: AudioBuffer,
 
     frame_rate = audio.sample_rate / hop
     hop_maxima = np.empty((config.num_bands, -(-len(samples) // hop)))
-    signal_hop, pending = hop, []
+    signal_hop = hop
     with ThreadPoolExecutor(_num_workers(config.num_bands)) as pool:
         for rows, group_hop in _band_groups(config, hop, frame_rate):
             if group_hop < signal_hop:
@@ -327,17 +335,11 @@ def compute_spectrogram(audio: AudioBuffer,
                 replace(config, midi_low=config.midi_low + rows[0],
                         num_bands=len(rows)),
                 audio.sample_rate * group_hop / hop)
-            futures = [pool.submit(_filter_band, coeffs, samples, group_hop,
-                                   hop_maxima[row])
-                       for coeffs, row in zip(bank, rows)]
-            # once the group above is done, nothing holds its signal any
-            # more; reading every result re-raises an exception from a
-            # worker
-            for future in pending:
-                future.result()
-            pending = futures
-        for future in pending:
-            future.result()
+            # list() waits for the whole group and re-raises an exception
+            # from a worker
+            list(pool.map(_filter_band, bank, repeat(samples),
+                          repeat(group_hop),
+                          hop_maxima[rows.start:rows.stop]))
     values = _frame_maxima(hop_maxima, config.window_factor, num_frames)
 
     return Spectrogram(values=values, frame_rate=frame_rate,

@@ -1,9 +1,13 @@
 """Delimited-text and JSON serialization of features, alignments, and reports.
 
-All numeric output uses 6 significant digits unless full precision is
-requested. Full precision round-trips float64 exactly, which lets a dumped
-raw spectrogram reproduce an alignment bit for bit: feature CSVs write 17
-significant digits, alignment and truth CSVs the shortest ``repr``.
+Alignment and truth CSVs print their numbers to 6 significant digits.
+Feature CSVs do too unless full precision is requested: 17 significant
+digits, which round-trip float64 exactly, so a dumped raw spectrogram
+reproduces an alignment bit for bit.
+
+Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
+pairs their rows by position, so the readers reject a row whose
+``score_index`` is not its 0-based position.
 """
 
 import json
@@ -17,15 +21,6 @@ from .dp_align import AlignmentResult
 from .filterbank import Spectrogram
 from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
-
-
-def _fmt(value: float, precision) -> str:
-    """``value`` to ``precision`` significant digits, or its shortest
-    round-tripping ``repr`` in full."""
-    value = float(value)
-    if precision == "full":
-        return repr(value)
-    return f"{value:.{int(precision)}g}"
 
 
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
@@ -69,67 +64,63 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
                        band_pitches=pitches)
 
 
-def write_alignment_csv(out: IO[str], result: AlignmentResult,
-                        precision=6) -> None:
+def write_alignment_csv(out: IO[str], result: AlignmentResult) -> None:
     out.write("score_index,beat,pitches,frame,time_s,cumulative_cost\n")
     for e in result.entries:
         pitches = "+".join(str(p) for p in e.pitches)
-        out.write(f"{e.score_index},{_fmt(e.beat, precision)},{pitches},"
-                  f"{e.frame},{_fmt(e.time_s, precision)},"
-                  f"{_fmt(e.cumulative_cost, precision)}\n")
+        out.write(f"{e.score_index},{e.beat:.6g},{pitches},{e.frame},"
+                  f"{e.time_s:.6g},{e.cumulative_cost:.6g}\n")
 
 
-def read_alignment_csv(path: str) -> list[dict]:
-    rows = _read_columns(path, ("score_index", "time_s"))
-    return [{"score_index": int(index),
-             "time_s": _finite_time(path, lineno, time_s)}
-            for lineno, (index, time_s) in rows]
+def read_alignment_csv(path: str) -> list[float]:
+    """The ``time_s`` of each non-blank row of a CSV with a header line
+    and ``score_index`` and ``time_s`` columns, an alignment or truth CSV.
 
-
-def write_truth_csv(out: IO[str], score: ScoreSequence,
-                    times: Iterable[float], precision=6) -> None:
-    out.write("score_index,beat,time_s\n")
-    for i, (onset, t) in enumerate(zip(score.onsets, times)):
-        out.write(f"{i},{_fmt(onset.beat, precision)},{_fmt(t, precision)}\n")
-
-
-def read_truth_csv(path: str) -> list[float]:
-    return [_finite_time(path, lineno, t)
-            for lineno, (t,) in _read_columns(path, ("time_s",))]
-
-
-def _read_columns(path: str, columns: tuple[str, ...]
-                  ) -> list[tuple[int, list[str]]]:
-    """(line number, fields of ``columns``) for each non-blank row of a
-    CSV with a header line; ValueError, naming the path and the line, on
-    a row that lacks one of the columns."""
+    ValueError, naming the path and the line, on a row that lacks a
+    column, whose ``time_s`` is not a finite number, or whose
+    ``score_index`` is not its 0-based position: rows are paired with the
+    score by position.
+    """
     with open(path) as f:
         header = f.readline().strip().split(",")
-        missing = set(columns) - set(header)
+        missing = {"score_index", "time_s"} - set(header)
         if missing:
             raise ValueError(f"{path!r}: missing columns {missing}")
-        idx = [header.index(name) for name in columns]
-        rows = []
+        index_col = header.index("score_index")
+        time_col = header.index("time_s")
+        times = []
         for lineno, line in enumerate(f, start=2):
             fields = line.strip().split(",")
             if fields == [""]:
                 continue
-            if len(fields) <= max(idx):
-                raise ValueError(f"{path!r} line {lineno}: expected "
-                                 f"{len(header)} columns, got {len(fields)}")
-            rows.append((lineno, [fields[i] for i in idx]))
-    return rows
+            where = f"{path!r} line {lineno}"
+            if len(fields) <= max(index_col, time_col):
+                raise ValueError(f"{where}: expected {len(header)} columns, "
+                                 f"got {len(fields)}")
+            if fields[index_col].strip() != str(len(times)):
+                raise ValueError(f"{where}: score_index must be the row's "
+                                 f"position {len(times)}, got "
+                                 f"{fields[index_col]!r}")
+            try:
+                time_s = float(fields[time_col])
+            except ValueError:
+                time_s = math.nan
+            if not math.isfinite(time_s):
+                raise ValueError(f"{where}: time_s must be a finite number, "
+                                 f"got {fields[time_col]!r}")
+            times.append(time_s)
+    return times
 
 
-def _finite_time(path: str, lineno: int, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{path!r} line {lineno}: time_s must be a finite "
-                         f"number, got {text!r}")
-    return value
+def write_truth_csv(out: IO[str], score: ScoreSequence,
+                    times: Iterable[float]) -> None:
+    out.write("score_index,beat,time_s\n")
+    for i, (onset, t) in enumerate(zip(score.onsets, times)):
+        out.write(f"{i},{onset.beat:.6g},{t:.6g}\n")
+
+
+# a truth CSV has the same score_index and time_s columns
+read_truth_csv = read_alignment_csv
 
 
 def format_eval_text(report: EvalReport) -> str:

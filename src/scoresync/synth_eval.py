@@ -12,7 +12,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import ConfigurationError
-from .filterbank import DEFAULT_CONFIG, FilterbankConfig, center_frequency
+from .filterbank import center_frequency
 from .score import ScoreSequence
 
 ERROR_THRESHOLDS_MS = (50.0, 100.0, 200.0, 500.0)
@@ -68,8 +68,7 @@ def beat_to_seconds(beat: float, tempo_map: TempoMap) -> float:
 
 def synthesize(score: ScoreSequence, tempo_map: TempoMap,
                sample_rate: int = 22050, noise_level: float = 0.0,
-               rng: np.random.Generator | None = None,
-               config: FilterbankConfig = DEFAULT_CONFIG
+               rng: np.random.Generator | None = None
                ) -> tuple[AudioBuffer, list[float]]:
     """Render a score under a tempo map; returns audio plus the true onset
     times in seconds.
@@ -105,7 +104,7 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
         env = np.minimum(t / ATTACK_S, 1.0) * np.exp(-t / DECAY_TIME_CONSTANT_S)
         chord = np.zeros(length)
         for pitch in onset.pitches:
-            f0 = center_frequency(pitch, config)
+            f0 = center_frequency(pitch)
             for h, amp in enumerate(HARMONIC_AMPLITUDES, start=1):
                 if h * f0 >= sample_rate / 2.0:
                     break

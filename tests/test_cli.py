@@ -397,6 +397,35 @@ class TestEval:
         err = capsys.readouterr().err
         assert "a.csv" in err and "line 8" in err
 
+    @staticmethod
+    def _reverse_rows(path):
+        header, *rows = open(path).read().splitlines()
+        return "\n".join([header, *rows[::-1]]) + "\n"
+
+    def test_reversed_alignment_rows_rejected(self, piece, tmp_path,
+                                              capsys):
+        aligned = tmp_path / "a.csv"
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--out", str(aligned)]) == 0
+        aligned.write_text(self._reverse_rows(aligned))
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a.csv" in captured.err and "line 2" in captured.err
+        assert "score_index" in captured.err
+
+    def test_reversed_truth_rows_rejected(self, piece, tmp_path, capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        truth = tmp_path / "truth.csv"
+        truth.write_text(self._reverse_rows(piece["truth"]))
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", str(truth)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truth.csv" in captured.err and "line 2" in captured.err
+        assert "score_index" in captured.err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_alignment_time_rejected(self, piece, tmp_path,
                                                 capsys, value):

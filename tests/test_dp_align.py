@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,23 @@ class TestParametersPastTheFrameCount:
             assert _outcome(score, feats, dataclasses.replace(
                 params, sustain_frames=10 ** 9)) == _outcome(
                 score, feats, dataclasses.replace(params, sustain_frames=20))
+
+    def test_huge_sustain_on_a_long_recording_is_fast(self):
+        # 40,000 frames: a lookahead taken one frame offset at a time
+        # would make about n passes over each band row
+        rng = np.random.default_rng(90)
+        n = 40_000
+        feats = make_features(rng.uniform(0.0, 1.0, (3, n)),
+                              rng.uniform(0.0, 1.0, (3, n)))
+        score = make_score(np.arange(20.0), [[60 + k % 3] for k in range(20)])
+        started = time.time()
+        huge = _outcome(score, feats, dataclasses.replace(
+            DEFAULT, sustain_frames=10 ** 9))
+        whole = _outcome(score, feats, dataclasses.replace(
+            DEFAULT, sustain_frames=n))
+        elapsed = time.time() - started
+        assert huge == whole
+        assert elapsed < 2.0
 
     def test_huge_opening_window_spans_every_frame(self):
         rng = np.random.default_rng(89)

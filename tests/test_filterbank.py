@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ class TestComputeSpectrogram:
         huge = compute_spectrogram(audio,
                                    FilterbankConfig(window_factor=10 ** 9))
         assert np.array_equal(huge.values, whole.values)
+
+    def test_huge_window_factor_on_many_hops_is_fast(self):
+        # a 2-sample hop gives 22,050 hops from 2 s of audio: a window
+        # taken one hop offset at a time would make that many passes over
+        # the 88 x 22,050 hop maxima
+        rng = np.random.default_rng(8)
+        audio = AudioBuffer(rng.uniform(-0.4, 0.4, 2 * 22050), 22050)
+        hops = 22050
+        started = time.time()
+        whole = compute_spectrogram(audio, FilterbankConfig(
+            frame_rate=11025.0, window_factor=hops))
+        huge = compute_spectrogram(audio, FilterbankConfig(
+            frame_rate=11025.0, window_factor=10 ** 9))
+        elapsed = time.time() - started
+        assert np.array_equal(huge.values, whole.values)
+        assert elapsed < 2.0
 
     def test_window_factor_widens_windows(self):
         rng = np.random.default_rng(5)
