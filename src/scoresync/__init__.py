@@ -14,8 +14,8 @@ from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      UnsupportedAudioError)
 from .features import (FeaturePair, extract_features, normalize_bins,
                        superflux_onsets)
-from .filterbank import (BandpassCoefficients, FilterbankConfig, Spectrogram,
-                         band_edges, center_frequency, compute_spectrogram,
+from .filterbank import (FilterbankConfig, Spectrogram, band_edges,
+                         center_frequency, compute_spectrogram,
                          design_bandpass, design_filterbank)
 from .score import ScoreOnset, ScoreSequence, from_json, from_midi
 from .synth_eval import (EvalReport, TempoMap, beat_to_seconds, evaluate,
@@ -28,9 +28,8 @@ __all__ = [
     "AlignmentParams", "AlignmentResult", "align", "stretch_cost",
     "update_beat_period",
     "FeaturePair", "extract_features", "normalize_bins", "superflux_onsets",
-    "BandpassCoefficients", "FilterbankConfig", "Spectrogram",
-    "band_edges", "center_frequency", "compute_spectrogram",
-    "design_bandpass", "design_filterbank",
+    "FilterbankConfig", "Spectrogram", "band_edges", "center_frequency",
+    "compute_spectrogram", "design_bandpass", "design_filterbank",
     "ScoreOnset", "ScoreSequence", "from_json", "from_midi",
     "EvalReport", "TempoMap", "beat_to_seconds", "evaluate", "synthesize",
     "ScoreSyncError", "AudioReadError", "UnsupportedAudioError",

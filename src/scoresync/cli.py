@@ -7,6 +7,7 @@ alignment path, 6 configuration.
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 import types
 import typing
@@ -29,29 +30,25 @@ EXIT_CONFIG = 6
 
 _AUDIO_ERRORS = (AudioReadError, UnsupportedAudioError, EmptyAudioError)
 
-# bp_bounds is the one tuple field; the config file spells its ends
-# bp_min/bp_max and it has no flag
-_TUPLE_KEYS = {"bp_bounds": ("bp_min", "bp_max")}
 _FILTERBANK_FLAGS = ("frame_rate", "window_factor")
 
 
 def _value_type(annotation):
-    """What one value of a field is parsed as: ``float`` for ``float |
-    None`` or ``tuple[float, float]``, ``str`` for a ``Literal``."""
+    """What a field's value is parsed as: ``float`` for ``float | None``,
+    ``str`` for a ``Literal``."""
     origin = typing.get_origin(annotation)
     if origin is typing.Literal:
         return str
-    if origin in (tuple, types.UnionType):
+    if origin is types.UnionType:
         return next(arg for arg in typing.get_args(annotation)
                     if arg is not type(None))
     return annotation
 
 
 # config key -> annotation of its field
-_CONFIG_KEYS = {key: f.type
+_CONFIG_KEYS = {f.name: f.type
                 for cls in (FilterbankConfig, dp_align.AlignmentParams)
-                for f in dataclasses.fields(cls)
-                for key in _TUPLE_KEYS.get(f.name, (f.name,))}
+                for f in dataclasses.fields(cls)}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -102,16 +99,9 @@ def _merge_settings(args) -> dict:
 
 def _build(cls, settings: dict):
     """A ``cls`` instance from the merged settings; unset fields keep their
-    defaults, and a tuple field takes its ends from its own keys."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in _TUPLE_KEYS:
-            kwargs[f.name] = tuple(
-                settings.get(key, default)
-                for key, default in zip(_TUPLE_KEYS[f.name], f.default))
-        elif f.name in settings:
-            kwargs[f.name] = settings[f.name]
-    return cls(**kwargs)
+    defaults."""
+    return cls(**{f.name: settings[f.name] for f in dataclasses.fields(cls)
+                  if f.name in settings})
 
 
 def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
@@ -124,17 +114,27 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
                      f"(expected .mid, .midi, or .json)")
 
 
-def _write_out(path, writer) -> None:
-    """``writer(out)`` on the file at ``path``, or on stdout when it is
-    None; stdout stays open."""
-    with (contextlib.nullcontext(sys.stdout) if path is None
-          else open(path, "w", newline="\n")) as out:
-        writer(out)
-
-
 def _fail(message: str, code: int) -> int:
     print(f"scoresync: {message}", file=sys.stderr)
     return code
+
+
+def _write_out(path, writer) -> int:
+    """``writer(out)`` on the file at ``path``, or on stdout when it is
+    None (left open, but flushed so that a closed pipe fails here); 0, or
+    EXIT_IO after reporting an OSError."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", newline="\n")) as out:
+            writer(out)
+            out.flush()
+    except OSError as exc:
+        if path is None:
+            # drop what is left in the buffer, which would fail again when
+            # Python flushes stdout at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"output: {exc}", EXIT_IO)
+    return 0
 
 
 def _parse_tempo(text: str) -> synth_eval.TempoMap:
@@ -151,9 +151,9 @@ def _parse_tempo(text: str) -> synth_eval.TempoMap:
 
 def _add_flags(parser, cls, names=None) -> None:
     """A ``--field-name`` flag for each field of ``cls`` (only ``names`` if
-    given) that is not a tuple, typed by the field's annotation."""
+    given), typed by the field's annotation."""
     for f in dataclasses.fields(cls):
-        if f.name in _TUPLE_KEYS or (names is not None and f.name not in names):
+        if names is not None and f.name not in names:
             continue
         literal = typing.get_origin(f.type) is typing.Literal
         parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
@@ -256,16 +256,11 @@ def cmd_align(args) -> int:
     except ConfigurationError as exc:
         return _fail(f"align: {exc}", EXIT_CONFIG)
 
-    try:
-        if args.format == "json":
-            _write_out(args.out, lambda out: formats.dump_json(
-                out, dataclasses.asdict(result)))
-        else:
-            _write_out(args.out,
-                       lambda out: formats.write_alignment_csv(out, result))
-    except OSError as exc:
-        return _fail(f"output: {exc}", EXIT_IO)
-    return 0
+    if args.format == "json":
+        return _write_out(args.out, lambda out: formats.dump_json(
+            out, dataclasses.asdict(result)))
+    return _write_out(args.out,
+                      lambda out: formats.write_alignment_csv(out, result))
 
 
 def cmd_features(args) -> int:
@@ -285,12 +280,8 @@ def cmd_features(args) -> int:
     matrix = {"raw": lambda: raw,
               "spec": lambda: normalize_bins(raw),
               "onsets": lambda: superflux_onsets(raw)}[args.feature]()
-    try:
-        _write_out(args.out, lambda out: formats.write_feature_csv(
-            out, matrix, precision=args.precision))
-    except OSError as exc:
-        return _fail(f"output: {exc}", EXIT_IO)
-    return 0
+    return _write_out(args.out, lambda out: formats.write_feature_csv(
+        out, matrix, precision=args.precision))
 
 
 def cmd_synth(args) -> int:
@@ -318,21 +309,19 @@ def cmd_synth(args) -> int:
     except ConfigurationError as exc:
         return _fail(f"synth: {exc}", EXIT_CONFIG)
 
-    truth_path = args.truth_out or f"{args.out}.truth.csv"
     try:
         wavfile.write(args.out, audio.sample_rate,
                       audio.samples.astype(np.float32))
-        _write_out(truth_path, lambda out: formats.write_truth_csv(
-            out, score, truth))
     except OSError as exc:
         return _fail(f"output: {exc}", EXIT_IO)
-    return 0
+    return _write_out(args.truth_out or f"{args.out}.truth.csv",
+                      lambda out: formats.write_truth_csv(out, score, truth))
 
 
 def cmd_eval(args) -> int:
     try:
         predicted = formats.read_alignment_csv(args.alignment)
-        truth = formats.read_truth_csv(args.truth)
+        truth = formats.read_alignment_csv(args.truth)
     except (OSError, ValueError) as exc:
         return _fail(f"eval: {exc}", EXIT_IO)
 
@@ -341,9 +330,11 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         return _fail(f"eval: {exc}", EXIT_SCORE)
 
-    print(formats.format_eval_text(report))
-    formats.dump_json(sys.stdout, formats.eval_to_json(report))
-    return 0
+    def write_report(out):
+        out.write(formats.format_eval_text(report) + "\n")
+        formats.dump_json(out, formats.eval_to_json(report))
+
+    return _write_out(None, write_report)
 
 
 _COMMANDS = {

@@ -73,16 +73,16 @@ class AlignmentParams:
     ``stretch_min``/``stretch_max`` bound how far a transition may deviate
     from the beat-period prediction; ``w_onset``/``w_stretch``/``w_spec``
     weight the onset, stretch and sustained-spectral costs. ``bp_init`` is
-    the starting beat period (frames per beat), ``bp_bounds`` the range
-    every update is clamped to, and ``bp_alpha`` the smoothing weight kept
-    on the old beat period at each update. ``sustain_frames`` is how many
-    frames after a candidate must still show spectral energy;
+    the starting beat period (frames per beat), ``bp_min``/``bp_max`` the
+    range every update is clamped to, and ``bp_alpha`` the smoothing
+    weight kept on the old beat period at each update. ``sustain_frames``
+    is how many frames after a candidate must still show spectral energy;
     ``pitch_aggregation`` combines the per-pitch costs of a chord by their
     mean or minimum. ``reset_threshold`` (optional) prunes cells whose
     cost exceeds the row minimum by more than the threshold; unset, the
     search is exact. ``initial_window`` (seconds) is the search range for
     the first chord; ``max_window_frames`` (optional) caps every window.
-    Every float, both ends of ``bp_bounds`` included, must be finite.
+    Every float must be finite.
     """
 
     stretch_min: float = 1.0 / 3.0
@@ -96,7 +96,8 @@ class AlignmentParams:
     reset_threshold: float | None = None
     pitch_aggregation: PitchAggregation = "mean"
     initial_window: float = 5.0
-    bp_bounds: tuple[float, float] = (5.0, 250.0)
+    bp_min: float = 5.0
+    bp_max: float = 250.0
     max_window_frames: int | None = None
 
     def __post_init__(self):
@@ -106,10 +107,10 @@ class AlignmentParams:
                 "stretch limits must satisfy 0 < stretch_min < 1 < stretch_max")
         if min(self.w_onset, self.w_stretch, self.w_spec) < 0:
             raise ConfigurationError("cost weights must be non-negative")
-        if self.bp_bounds[0] < 1 or self.bp_bounds[0] > self.bp_bounds[1]:
+        if self.bp_min < 1 or self.bp_min > self.bp_max:
             raise ConfigurationError("invalid beat-period bounds")
-        if not self.bp_bounds[0] <= self.bp_init <= self.bp_bounds[1]:
-            raise ConfigurationError("bp_init outside bp_bounds")
+        if not self.bp_min <= self.bp_init <= self.bp_max:
+            raise ConfigurationError("bp_init outside bp_min..bp_max")
         if not 0.0 <= self.bp_alpha <= 1.0:
             raise ConfigurationError("bp_alpha must lie in [0, 1]")
         if self.sustain_frames < 1:
@@ -190,7 +191,7 @@ def update_beat_period(dframes, dscore: float, bp,
     (elementwise over array arguments)."""
     observed = dframes / dscore
     bp_new = params.bp_alpha * bp + (1.0 - params.bp_alpha) * observed
-    return np.clip(bp_new, params.bp_bounds[0], params.bp_bounds[1])
+    return np.clip(bp_new, params.bp_min, params.bp_max)
 
 
 # (source, destination) pairs relaxed per vectorized step; bounds the
@@ -423,7 +424,7 @@ def _cost_to_go(beats, n: int, weighted_costs,
 
     It drops the stretch cost (never negative) and widens every window to
     ``[j + 1, j + w]``, where ``w`` is the widest window any beat period
-    in ``bp_bounds`` opens, so ``h[r]`` is a forward sliding minimum of
+    up to ``bp_max`` opens, so ``h[r]`` is a forward sliding minimum of
     the weighted chord costs of row r + 1 plus ``h[r + 1]``.
     """
     m = len(beats)
@@ -431,7 +432,7 @@ def _cost_to_go(beats, n: int, weighted_costs,
     h[-1] = 0.0
     for r in range(m - 1, 0, -1):
         w_con, w_csp = weighted_costs(r)
-        _, w = _frame_windows(0, params.bp_bounds[1],
+        _, w = _frame_windows(0, params.bp_max,
                               beats[r] - beats[r - 1], params, n)
         w = int(w)
         if w < 1:

@@ -39,9 +39,8 @@ class InfeasiblePathError(ScoreSyncError):
 
 def check_finite(params) -> None:
     """Raise ConfigurationError on a NaN or infinite float field of the
-    dataclass ``params``, or element of a tuple field."""
+    dataclass ``params``."""
     for f in fields(params):
-        value = getattr(params, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigurationError(f"{f.name} must be finite, got {v}")
+        v = getattr(params, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigurationError(f"{f.name} must be finite, got {v}")

@@ -39,7 +39,7 @@ def _band_maxima(m: Spectrogram) -> np.ndarray:
     row_max = m.values.max(axis=1)
     bad = np.flatnonzero(~np.isfinite(row_max))
     if len(bad):
-        raise ValueError(f"band of MIDI pitch {m.band_pitches[bad[0]]} "
+        raise ValueError(f"band of MIDI pitch {m.midi_low + bad[0]} "
                          f"holds a non-finite value")
     return row_max
 
@@ -57,7 +57,7 @@ def normalize_bins(m: Spectrogram) -> Spectrogram:
     values[live] /= row_max[live, np.newaxis]
     values[~live] = 0.0
     return Spectrogram(values=values, frame_rate=m.frame_rate,
-                       band_pitches=m.band_pitches)
+                       midi_low=m.midi_low)
 
 
 def superflux_onsets(raw: Spectrogram, lag: int = 1) -> Spectrogram:
@@ -78,15 +78,15 @@ def superflux_onsets(raw: Spectrogram, lag: int = 1) -> Spectrogram:
     if v.shape[1] > lag:
         onset[:, lag:] = np.maximum(v[:, lag:] - maxfilt[:, :-lag], 0.0)
     return normalize_bins(Spectrogram(values=onset, frame_rate=raw.frame_rate,
-                                      band_pitches=raw.band_pitches))
+                                      midi_low=raw.midi_low))
 
 
-def extract_features(raw: Spectrogram, lag: int = 1) -> FeaturePair:
+def extract_features(raw: Spectrogram) -> FeaturePair:
     """Build the normalized onset/spectral feature pair from a raw spectrogram.
 
     The raw bands are checked first, so a NaN or +inf raw band is named
     itself, not a neighbor that the onset max filter spread it to.
     """
     _band_maxima(raw)
-    return FeaturePair(onsets=superflux_onsets(raw, lag=lag),
+    return FeaturePair(onsets=superflux_onsets(raw),
                        spec=normalize_bins(raw))

@@ -5,7 +5,9 @@ equal-tempered key frequencies and bounded by the quarter-tone midpoints
 to the neighboring keys. Each band is filtered causally in double
 precision, rectified, and aggregated into frames by the maximum absolute
 value per window, giving an 88 x T activation matrix at (nominally)
-50 frames per second.
+50 frames per second. Each band's filter is scipy's ``(b, a)`` pair, and
+the matrix records only its lowest pitch: row ``r`` of a ``Spectrogram``
+is MIDI pitch ``midi_low + r``.
 
 A band only needs the signal below its own upper edge, so the bank runs
 in groups of ``_GROUP_BANDS`` bands (one octave), counted from the top
@@ -50,7 +52,7 @@ so sample rates that do not divide evenly stay exact.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -111,38 +113,17 @@ class FilterbankConfig:
 DEFAULT_CONFIG = FilterbankConfig()
 
 
-@dataclass(frozen=True)
-class BandpassCoefficients:
-    """One second-order section: y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2]
-    - a1 y[n-1] - a2 y[n-2]."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    @property
-    def ba(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([self.b0, self.b1, self.b2]),
-                np.array([1.0, self.a1, self.a2]))
-
-    def pole_magnitudes(self) -> np.ndarray:
-        return np.abs(np.roots([1.0, self.a1, self.a2]))
-
-
 @dataclass
 class Spectrogram:
     """Non-negative band x frame activation matrix.
 
-    ``frame_rate`` is the effective rate (sample_rate / hop), and
-    ``band_pitches[r]`` gives the MIDI pitch of row ``r``.
+    ``frame_rate`` is the effective rate (sample_rate / hop), and row
+    ``r`` holds MIDI pitch ``midi_low + r``: the bands are contiguous.
     """
 
     values: np.ndarray
     frame_rate: float
-    band_pitches: np.ndarray = field(
-        default_factory=lambda: DEFAULT_CONFIG.band_pitches)
+    midi_low: int = DEFAULT_CONFIG.midi_low
 
     @property
     def num_bands(self) -> int:
@@ -154,12 +135,11 @@ class Spectrogram:
 
     def pitch_row(self, midi_pitch: int) -> int:
         """Row index of a MIDI pitch; ConfigurationError if out of range."""
-        row = int(midi_pitch) - int(self.band_pitches[0])
-        if row < 0 or row >= self.num_bands or \
-                self.band_pitches[row] != midi_pitch:
+        row = int(midi_pitch) - self.midi_low
+        if not 0 <= row < self.num_bands:
             raise ConfigurationError(
                 f"pitch {midi_pitch} outside filterbank range "
-                f"{self.band_pitches[0]}..{self.band_pitches[-1]}")
+                f"{self.midi_low}..{self.midi_low + self.num_bands - 1}")
         return row
 
 
@@ -181,8 +161,9 @@ def band_edges(midi_pitch: int,
 
 
 def design_bandpass(lo: float, hi: float,
-                    sample_rate: float) -> BandpassCoefficients:
-    """Second-order Butterworth bandpass with -3 dB points at lo and hi.
+                    sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order Butterworth bandpass with -3 dB points at lo and hi,
+    as scipy's ``(b, a)`` (three coefficients each, ``a[0] == 1``).
 
     First-order lowpass prototype transformed to bandpass and discretized
     by the bilinear transform with both edges pre-warped, i.e. unit gain
@@ -195,18 +176,15 @@ def design_bandpass(lo: float, hi: float,
             f"band edge {hi:.2f} Hz reaches Nyquist at sample rate "
             f"{sample_rate:g} Hz")
     b, a = signal.butter(1, [lo, hi], btype="bandpass", fs=sample_rate)
-    coeffs = BandpassCoefficients(
-        b0=float(b[0]), b1=float(b[1]), b2=float(b[2]),
-        a1=float(a[1]), a2=float(a[2]))
-    if np.any(coeffs.pole_magnitudes() >= 1.0):
+    if np.any(np.abs(np.roots(a)) >= 1.0):
         raise ConfigurationError(
             f"unstable design for band ({lo:.3f}, {hi:.3f}) Hz "
             f"at {sample_rate:g} Hz")
-    return coeffs
+    return b, a
 
 
-def design_filterbank(config: FilterbankConfig,
-                      sample_rate: float) -> list[BandpassCoefficients]:
+def design_filterbank(config: FilterbankConfig, sample_rate: float
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Design all bands; any edge at/above Nyquist is an error (bands are
     never dropped silently, which would desynchronize rows from pitches)."""
     bank = []
@@ -267,7 +245,7 @@ def _band_groups(config: FilterbankConfig, hop: int,
     return groups
 
 
-def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
+def _filter_band(ba: tuple[np.ndarray, np.ndarray], samples: np.ndarray,
                  hop: int, out: np.ndarray) -> None:
     """Write the per-hop maxima of |filtered samples| into ``out``, the
     partial last hop included.
@@ -276,7 +254,7 @@ def _filter_band(coeffs: BandpassCoefficients, samples: np.ndarray,
     state carries from one block to the next, so the filtered samples are
     those of a single pass.
     """
-    b, a = coeffs.ba
+    b, a = ba
     state = np.zeros(2)
     step = _BLOCK_HOPS * hop
     for start in range(0, len(samples), step):
@@ -343,4 +321,4 @@ def compute_spectrogram(audio: AudioBuffer,
     values = _frame_maxima(hop_maxima, config.window_factor, num_frames)
 
     return Spectrogram(values=values, frame_rate=frame_rate,
-                       band_pitches=config.band_pitches)
+                       midi_low=config.midi_low)

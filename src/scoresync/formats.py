@@ -3,7 +3,8 @@
 Alignment and truth CSVs print their numbers to 6 significant digits.
 Feature CSVs do too unless full precision is requested: 17 significant
 digits, which round-trip float64 exactly, so a dumped raw spectrogram
-reproduces an alignment bit for bit.
+reproduces an alignment bit for bit. The band columns of a feature CSV
+run up from ``p<midi_low>`` one semitone at a time; no other header reads.
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -23,32 +24,46 @@ from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
 
 
+def _feature_header(midi_low: int, num_bands: int) -> str:
+    """``frame,p<low>,...,p<low + num_bands - 1>``."""
+    return "frame," + ",".join(
+        f"p{p}" for p in range(midi_low, midi_low + num_bands))
+
+
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
                       precision=6) -> None:
-    """Header ``frame,p<low>,...,p<high>``, one row per frame, each
-    formatted by one ``%`` over the whole row."""
-    header = "frame," + ",".join(f"p{p}" for p in spectrogram.band_pitches)
-    out.write(header + "\n")
+    """The header of ``_feature_header``, then one row per frame, each
+    formatted by one ``%`` over the whole row; only one row is held as
+    Python floats at a time."""
+    out.write(_feature_header(spectrogram.midi_low, spectrogram.num_bands)
+              + "\n")
     fmt = "%.17g" if precision == "full" else f"%.{int(precision)}g"
-    line = "%d," + ",".join([fmt] * len(spectrogram.band_pitches)) + "\n"
-    for t, row in enumerate(spectrogram.values.T.tolist()):
-        out.write(line % (t, *row))
+    line = "%d," + ",".join([fmt] * spectrogram.num_bands) + "\n"
+    for t, row in enumerate(spectrogram.values.T):
+        out.write(line % (t, *row.tolist()))
 
 
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
     The CSV carries no frame rate, so the effective rate must be supplied.
-    ValueError unless it has at least one band column and rows, all as
-    wide as the header, of finite non-negative values.
+    ValueError unless it has at least one band column, a header that
+    ``_feature_header`` would write, and rows, all as wide as the header,
+    of finite non-negative values.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
-        if not header or header[0] != "frame":
+        if header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
         if len(header) < 2:
             raise ValueError(f"{path!r}: no band columns after 'frame'")
-        pitches = np.array([int(col[1:]) for col in header[1:]])
+        low = header[1][1:]
+        # a first band column other than p<digits> cannot match p0
+        midi_low = int(low) if low.isdecimal() else 0
+        if ",".join(header) != _feature_header(midi_low, len(header) - 1):
+            raise ValueError(
+                f"{path!r}: band columns must run p<low>, p<low + 1>, ... "
+                f"one semitone apart, got {','.join(header[1:])!r}")
         with warnings.catch_warnings():
             # a header-only CSV has no rows; that is rejected below
             warnings.simplefilter("ignore", UserWarning)
@@ -61,7 +76,7 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         raise ValueError(f"{path!r}: feature values must be finite and "
                          f"non-negative")
     return Spectrogram(values=values, frame_rate=frame_rate,
-                       band_pitches=pitches)
+                       midi_low=midi_low)
 
 
 def write_alignment_csv(out: IO[str], result: AlignmentResult) -> None:
@@ -117,10 +132,6 @@ def write_truth_csv(out: IO[str], score: ScoreSequence,
     out.write("score_index,beat,time_s\n")
     for i, (onset, t) in enumerate(zip(score.onsets, times)):
         out.write(f"{i},{onset.beat:.6g},{t:.6g}\n")
-
-
-# a truth CSV has the same score_index and time_s columns
-read_truth_csv = read_alignment_csv
 
 
 def format_eval_text(report: EvalReport) -> str:

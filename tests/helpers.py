@@ -145,7 +145,7 @@ def reference_spectrogram(audio, config):
         for pitch in pitches[max(0, top - 12):top]:
             coeffs = design_bandpass(*band_edges(pitch, config),
                                      audio.sample_rate * h / hop)
-            y = np.abs(signal.lfilter(*coeffs.ba, samples))
+            y = np.abs(signal.lfilter(*coeffs, samples))
             rows[pitch] = [y[t * h:t * h + w].max()
                            for t in range(num_frames)]
     return np.array([rows[pitch] for pitch in pitches])
@@ -157,12 +157,11 @@ def make_features(onset_values, spec_values, frame_rate=50.0, midi_low=60):
     """Wrap two band x frame matrices as a FeaturePair."""
     onset_values = np.asarray(onset_values, dtype=np.float64)
     spec_values = np.asarray(spec_values, dtype=np.float64)
-    pitches = np.arange(midi_low, midi_low + onset_values.shape[0])
     return FeaturePair(
         onsets=Spectrogram(values=onset_values, frame_rate=frame_rate,
-                           band_pitches=pitches),
+                           midi_low=midi_low),
         spec=Spectrogram(values=spec_values, frame_rate=frame_rate,
-                         band_pitches=pitches))
+                         midi_low=midi_low))
 
 
 def make_score(beats, pitch_sets):
@@ -200,7 +199,7 @@ def random_instance(rng, max_chords=3, num_frames=None, num_bands=6,
         sustain_frames=int(rng.integers(1, 5)),
         pitch_aggregation=str(rng.choice(["mean", "min"])),
         initial_window=int(rng.integers(2, n)) / 50.0,
-        bp_bounds=(1.0, 60.0),
+        bp_min=1.0, bp_max=60.0,
     )
     return score, feats, params
 
@@ -254,7 +253,7 @@ def _scalar_stretch(dframes, span, params):
 def _clamped_bp(dframes, dscore, bp, params):
     bp_next = params.bp_alpha * bp \
         + (1.0 - params.bp_alpha) * (dframes / dscore)
-    return min(max(bp_next, params.bp_bounds[0]), params.bp_bounds[1])
+    return min(max(bp_next, params.bp_min), params.bp_max)
 
 
 def reference_align(score, feats, params):

@@ -133,9 +133,8 @@ def test_04_filterbank_response(sample_rate):
     config = FilterbankConfig()
     for pitch in config.band_pitches:
         lo, hi = band_edges(int(pitch))
-        coeffs = design_bandpass(lo, hi, sample_rate)
-        b, a = coeffs.ba
-        assert np.all(coeffs.pole_magnitudes() < 1.0)
+        b, a = design_bandpass(lo, hi, sample_rate)
+        assert np.all(np.abs(np.roots(a)) < 1.0)
         peak = magnitude_db(b, a, np.linspace(lo, hi, 101),
                             sample_rate).max()
         center = warped_center(lo, hi, sample_rate)
@@ -156,8 +155,7 @@ def test_05_feature_invariants():
     rng = np.random.default_rng(5)
 
     def spectro(values):
-        return Spectrogram(values=values, frame_rate=50.0,
-                           band_pitches=np.arange(21, 21 + len(values)))
+        return Spectrogram(values=values, frame_rate=50.0, midi_low=21)
 
     for _ in range(50):
         values = rng.uniform(0.0, 1.0, (int(rng.integers(2, 10)),

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +233,22 @@ class TestAlign:
         assert self._align_dump(piece, raw, frames_only) == EXIT_IO
         assert "no band columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pitches", [(61, 60), (60, 62)])
+    def test_dump_with_band_columns_out_of_step_is_io_error(
+            self, tmp_path, capsys, pitches):
+        # every score pitch has a column, but the columns do not run up
+        # one semitone at a time from the first
+        score = tmp_path / "score.json"
+        score.write_text(json.dumps([{"beat": float(b),
+                                      "pitches": sorted(pitches)}
+                                     for b in range(4)]))
+        raw = tmp_path / "raw.csv"
+        raw.write_text("frame," + ",".join(f"p{p}" for p in pitches) + "\n"
+                       + "".join(f"{t},0.5,0.25\n" for t in range(300)))
+        assert main(["align", "--features", str(raw),
+                     "--score", str(score)]) == EXIT_IO
+        assert "band columns" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [
         ("--initial-window", "nan"), ("--initial-window", "inf"),
         ("--frame-rate", "nan"), ("--stretch-max", "inf"),
@@ -363,6 +382,32 @@ class TestEval:
         aligned.write_text("\n".join(rows) + "\n")
         return aligned
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_io_error(self, piece, tmp_path, unbuffered):
+        # the reader of stdout has gone before the report is written, as
+        # with `eval ... | head -1`; Python buffers stdout on a pipe unless
+        # PYTHONUNBUFFERED is set
+        aligned = self._perfect_alignment(piece, tmp_path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "scoresync.cli", "eval",
+                 "--alignment", str(aligned), "--truth", piece["truth"]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert child.returncode == EXIT_IO
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith("scoresync: output: ")
+
     def test_blank_truth_line_skipped(self, piece, tmp_path, capsys):
         aligned = self._perfect_alignment(piece, tmp_path)
         truth = tmp_path / "truth.csv"
@@ -464,14 +509,14 @@ FIELD_VALUES = {
     "stretch_min": 0.5, "stretch_max": 2.5, "w_onset": 0.5,
     "w_stretch": 2.0, "w_spec": 1.5, "bp_init": 30.0, "bp_alpha": 0.25,
     "sustain_frames": 4, "reset_threshold": 2.0, "pitch_aggregation": "min",
-    "initial_window": 3.0, "bp_bounds": (6.0, 200.0),
+    "initial_window": 3.0, "bp_min": 6.0, "bp_max": 200.0,
     "max_window_frames": 100,
 }
 ALIGN_PARAM_FLAGS = [
     "--frame-rate", "--window-factor", "--stretch-min", "--stretch-max",
     "--w-onset", "--w-stretch", "--w-spec", "--bp-init", "--bp-alpha",
     "--sustain-frames", "--reset-threshold", "--pitch-aggregation",
-    "--initial-window", "--max-window-frames"]
+    "--initial-window", "--bp-min", "--bp-max", "--max-window-frames"]
 
 
 def _option_strings(command):
@@ -507,10 +552,7 @@ class TestConfigFile:
 
     def test_every_field_is_a_config_key(self, tmp_path):
         cfg = tmp_path / "p.cfg"
-        low, high = FIELD_VALUES["bp_bounds"]
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in FIELD_VALUES.items()
-                               if k != "bp_bounds")
-                       + f"bp_min={low}\nbp_max={high}\n")
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in FIELD_VALUES.items()))
         assert len(cli._CONFIG_KEYS) == 20
         for obj in self.built("--config", str(cfg)):
             for f in dataclasses.fields(obj):
@@ -530,9 +572,11 @@ class TestConfigFile:
     def test_bp_min_max_set_the_bounds(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("bp_max=120\n")
-        assert self.built("--config", str(cfg))[1].bp_bounds == (5.0, 120.0)
+        params = self.built("--config", str(cfg))[1]
+        assert (params.bp_min, params.bp_max) == (5.0, 120.0)
         cfg.write_text("bp_min=10\nbp_max=120\n")
-        assert self.built("--config", str(cfg))[1].bp_bounds == (10.0, 120.0)
+        params = self.built("--config", str(cfg))[1]
+        assert (params.bp_min, params.bp_max) == (10.0, 120.0)
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "p.cfg"

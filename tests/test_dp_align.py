@@ -97,7 +97,7 @@ def _two_chord_setup(n=40, bp=4.0, sustain=3):
     spec = np.zeros((6, n))
     feats = make_features(onsets, spec, midi_low=60)
     score = make_score([1.0, 2.0], [[62], [62]])
-    params = dataclasses.replace(DEFAULT, bp_init=bp, bp_bounds=(1.0, 60.0),
+    params = dataclasses.replace(DEFAULT, bp_init=bp, bp_min=1.0, bp_max=60.0,
                                  sustain_frames=sustain)
     return feats, score, params
 
@@ -193,7 +193,7 @@ class TestAlign:
         feats = make_features(rng.uniform(0, 1, (6, 12)),
                               rng.uniform(0, 1, (6, 12)), midi_low=60)
         params = dataclasses.replace(DEFAULT, bp_init=3.0,
-                                     bp_bounds=(1.0, 60.0),
+                                     bp_min=1.0, bp_max=60.0,
                                      initial_window=0.1)
         result = align(score, feats, params)
         ref_cost, ref_path = reference_align(score, feats, params)
@@ -282,7 +282,7 @@ class TestAlign:
             feats = make_features(rng.uniform(0, 1, (6, 120)),
                                   rng.uniform(0, 1, (6, 120)), midi_low=60)
             params = dataclasses.replace(
-                DEFAULT, bp_init=5.0, bp_bounds=(1.0, 8.0),
+                DEFAULT, bp_init=5.0, bp_min=1.0, bp_max=8.0,
                 initial_window=0.2)
             beam = dataclasses.replace(
                 params,
@@ -392,7 +392,7 @@ class TestPairChunks:
         feats = make_features(onsets, spec, midi_low=60)
         score = make_score([0.0, 1.0], [[60], [62]])
         params = dataclasses.replace(DEFAULT, w_stretch=0.0, bp_init=10.0,
-                                     bp_bounds=(1.0, 60.0))
+                                     bp_min=1.0, bp_max=60.0)
         result = align(score, feats, params)
         assert result.frames == [5, 20]
         assert result.total_cost == 0.0
@@ -413,7 +413,7 @@ def _pruning_instance(tied_minimum=False):
     feats = make_features(onsets, spec, midi_low=60)
     score = make_score([0.0, 1.0], [[60], [62]])
     params = dataclasses.replace(DEFAULT, w_stretch=0.0, bp_init=4.0,
-                                 bp_bounds=(1.0, 60.0), sustain_frames=1,
+                                 bp_min=1.0, bp_max=60.0, sustain_frames=1,
                                  initial_window=0.2)
     return score, feats, params
 
@@ -681,7 +681,7 @@ class TestParamsValidation:
 
     def test_bp_init_within_bounds(self):
         with pytest.raises(ConfigurationError):
-            AlignmentParams(bp_init=1.0, bp_bounds=(5.0, 250.0))
+            AlignmentParams(bp_init=1.0, bp_min=5.0, bp_max=250.0)
 
     @pytest.mark.parametrize("field,value", [
         ("stretch_min", float("nan")), ("stretch_max", float("inf")),
@@ -690,8 +690,7 @@ class TestParamsValidation:
         ("bp_alpha", float("nan")), ("reset_threshold", float("nan")),
         ("reset_threshold", float("inf")), ("initial_window", float("nan")),
         ("initial_window", float("inf")),
-        ("bp_bounds", (float("nan"), 250.0)),
-        ("bp_bounds", (5.0, float("inf")))])
+        ("bp_min", float("nan")), ("bp_max", float("inf"))])
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             AlignmentParams(**{field: value})

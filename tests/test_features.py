@@ -11,8 +11,7 @@ from scoresync.features import SILENT_BIN_EPS
 
 def spectro(values):
     return Spectrogram(values=np.asarray(values, dtype=np.float64),
-                       frame_rate=50.0,
-                       band_pitches=np.arange(21, 21 + len(values)))
+                       frame_rate=50.0, midi_low=21)
 
 
 nonneg_matrices = arrays(

@@ -59,16 +59,14 @@ class TestBandEdges:
 class TestDesignBandpass:
     def test_matches_textbook_reference(self):
         lo, hi = band_edges(69)
-        coeffs = design_bandpass(lo, hi, 44100)
+        b, a = design_bandpass(lo, hi, 44100)
         b_ref, a_ref = reference_bandpass(lo, hi, 44100)
-        b, a = coeffs.ba
         assert b == pytest.approx(b_ref, rel=1e-9, abs=1e-15)
         assert a == pytest.approx(a_ref, rel=1e-9, abs=1e-15)
 
     def test_unit_gain_near_center_and_3db_edges(self):
         lo, hi = band_edges(69)
-        coeffs = design_bandpass(lo, hi, 44100)
-        b, a = coeffs.ba
+        b, a = design_bandpass(lo, hi, 44100)
         peak = magnitude_db(b, a, np.linspace(lo, hi, 201), 44100).max()
         assert abs(magnitude_db(b, a, [440.0], 44100)[0] - peak) < 1.0
         for edge in (lo, hi):
@@ -77,12 +75,12 @@ class TestDesignBandpass:
 
     def test_poles_inside_unit_circle(self):
         lo, hi = band_edges(21)
-        coeffs = design_bandpass(lo, hi, 48000)
-        assert np.all(coeffs.pole_magnitudes() < 1.0)
+        _, a = design_bandpass(lo, hi, 48000)
+        assert np.all(np.abs(np.roots(a)) < 1.0)
 
     def test_zeros_at_dc_and_nyquist(self):
         lo, hi = band_edges(60)
-        b, a = design_bandpass(lo, hi, 44100).ba
+        b, a = design_bandpass(lo, hi, 44100)
         assert abs(np.polyval(b, 1.0) / np.polyval(a, 1.0)) \
             == pytest.approx(0.0, abs=1e-12)
         assert abs(np.polyval(b, -1.0) / np.polyval(a, -1.0)) \
@@ -102,8 +100,8 @@ class TestDesignFilterbank:
     def test_all_default_bands_stable(self, sample_rate):
         bank = design_filterbank(FilterbankConfig(), sample_rate)
         assert len(bank) == 88
-        for coeffs in bank:
-            assert np.all(coeffs.pole_magnitudes() < 1.0)
+        for _, a in bank:
+            assert np.all(np.abs(np.roots(a)) < 1.0)
 
     def test_band_reaching_nyquist_raises_with_pitch(self):
         # at 8 kHz the top piano bands exceed the 4 kHz Nyquist limit
@@ -425,9 +423,8 @@ def assert_response_criteria(pitch, sample_rate):
     """Stable poles, warped center within 1 dB of the peak, quarter-tone
     edges at -3 dB (within 1 dB) of the peak."""
     lo, hi = band_edges(int(pitch))
-    coeffs = design_bandpass(lo, hi, sample_rate)
-    b, a = coeffs.ba
-    assert np.all(coeffs.pole_magnitudes() < 1.0)
+    b, a = design_bandpass(lo, hi, sample_rate)
+    assert np.all(np.abs(np.roots(a)) < 1.0)
     grid = np.linspace(lo, hi, 101)
     peak = magnitude_db(b, a, grid, sample_rate).max()
     center = warped_center(lo, hi, sample_rate)
