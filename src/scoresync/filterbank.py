@@ -27,22 +27,24 @@ hops in lowest terms (a zero-phase FIR, so onsets do not move); a group
 whose hop does not fall reuses the previous signal. Each group is
 designed at its own rate.
 
-A band is filtered in blocks of ``_BLOCK_HOPS`` hops of its group, with
-the filter state carried from block to block, so the result equals one
-pass over the whole group signal; each block is reduced to per-hop maxima
-(``np.maximum.reduceat``) before the next is filtered. Every group has
-``ceil(len(samples) / hop)`` hops, so the per-hop maxima of all bands
+The distinct hops form a resample cascade, the input its first level
+(``_resample_levels``), and the recording streams through it
+``_BLOCK_HOPS`` input hops at a time (``_block_signals``): each level's
+window of a block is resampled from a window of the level above that
+reaches as far as ``resample_poly``'s filter does, so it equals that
+slice of the whole-signal resample. Each band filters its group's window
+of the block from the lfilter state the previous block left, so its
+filtered samples are those of a single pass over the whole group signal,
+and reduces it to per-hop maxima (``np.maximum.reduceat``). Every group
+has ``ceil(len(samples) / hop)`` hops, so the per-hop maxima of all bands
 form one band x hop matrix, and frame t is the maximum of hops
 t .. t + window_factor - 1 of that matrix (``_frame_maxima``), truncated
-at the end of the signal: one sliding-maximum pass, however wide the
-window. The groups run one at a time, each group's bands on one thread
-per available core. Running the next group's resample alongside the
-filtering would gain nothing: ``resample_poly`` holds the interpreter
-lock for its whole call, so it stalls the filtering threads anyway.
-Beyond the input samples and the output matrix, the front end therefore
-holds at most two group signals (one being resampled from the other,
-which is freed then) and one block per thread, however long the
-recording is.
+at the end of the signal: one sliding-maximum pass in place, however wide
+the window. A block's bands are filtered on one thread per available
+core, and one of those threads resamples the next block. Beyond the input
+samples and the output matrix, the front end therefore holds the
+cascade's windows of two blocks, one block of filtered samples per thread
+and one block of per-hop maxima, however long the recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -53,7 +55,6 @@ so sample rates that do not divide evenly stay exact.
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 from scipy import signal
@@ -62,9 +63,12 @@ from scipy.ndimage import maximum_filter1d
 from .audio_io import AudioBuffer
 from .errors import ConfigurationError, EmptyAudioError, check_finite
 
-# hops per filtering block: small enough to stay in cache, large enough
-# that the per-call cost of lfilter stays small against the filtering
-_BLOCK_HOPS = 256
+# input hops per block of the resample cascade and the filtering: small
+# enough that two blocks of group signals and a block of filtered samples
+# per thread take no more memory than the whole-signal groups of a 36 s
+# recording, large enough that the per-block costs (88 lfilter tasks and
+# a filter design in every resample_poly call) stay small
+_BLOCK_HOPS = 384
 # lowest rate of a band group, in multiples of its top band's upper edge:
 # the edge then sits at no more than 0.8 of the group's Nyquist frequency,
 # inside the passband of resample_poly's lowpass (ripple under 0.02 dB)
@@ -198,21 +202,28 @@ def design_filterbank(config: FilterbankConfig, sample_rate: float
     return bank
 
 
-def _frame_maxima(hop_maxima: np.ndarray, window_factor: int,
-                  num_frames: int) -> np.ndarray:
-    """Frame t is the maximum of ``hop_maxima[..., t:t + window_factor]``,
-    the window truncated at the end, for the first ``num_frames`` frames.
+def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
+                  window_factor: int) -> np.ndarray:
+    """Turn the per-hop maxima of the whole hops into frame maxima, in
+    place: frame t becomes the maximum of hops t .. t + window_factor - 1,
+    the window truncated at the end of the signal, where ``tail`` (one
+    column or none) holds the partial hop after the whole ones.
 
     One O(hops) sliding-maximum pass per band, however wide the window;
     a window wider than the hops reads nothing more. The pass overwrites
-    ``hop_maxima`` in place (as scipy's own separable filters chain their
-    1-D passes), so framing allocates only the result, which is
-    C-contiguous, not a view of ``hop_maxima``.
+    ``hop_maxima`` (as scipy's own separable filters chain their 1-D
+    passes) and returns it, so framing allocates nothing of the
+    recording's length.
     """
-    w = min(window_factor, hop_maxima.shape[-1])
+    num_frames = hop_maxima.shape[-1]
+    w = min(window_factor, num_frames)
     maximum_filter1d(hop_maxima, w, axis=-1, output=hop_maxima,
                      mode="constant", cval=-np.inf, origin=-(w // 2))
-    return np.ascontiguousarray(hop_maxima[..., :num_frames])
+    if tail.size:
+        # the frames whose window reaches past the last whole hop
+        last = hop_maxima[..., max(0, num_frames - window_factor + 1):]
+        np.maximum(last, tail, out=last)
+    return hop_maxima
 
 
 def _num_workers(num_bands: int) -> int:
@@ -245,24 +256,67 @@ def _band_groups(config: FilterbankConfig, hop: int,
     return groups
 
 
-def _filter_band(ba: tuple[np.ndarray, np.ndarray], samples: np.ndarray,
-                 hop: int, out: np.ndarray) -> None:
-    """Write the per-hop maxima of |filtered samples| into ``out``, the
-    partial last hop included.
+def _resample_levels(hops: list[int]) -> list[tuple[int, int, int]]:
+    """``(hop, up, down)`` of each level of the resample cascade, given
+    its hops in falling order: level 0 is the input, and level k is level
+    k - 1 resampled by ``up / down = hops[k] / hops[k - 1]`` in lowest
+    terms."""
+    levels = [(hops[0], 1, 1)]
+    for parent, hop in zip(hops, hops[1:]):
+        g = math.gcd(hop, parent)
+        levels.append((hop, hop // g, parent // g))
+    return levels
 
-    The signal is filtered ``_BLOCK_HOPS`` hops at a time, and the lfilter
-    state carries from one block to the next, so the filtered samples are
-    those of a single pass.
+
+def _block_signals(samples: np.ndarray, levels: list[tuple[int, int, int]],
+                   t0: int, t1: int) -> list[np.ndarray]:
+    """Each level's samples of hops ``t0 .. t1 - 1`` (the partial last hop
+    included), equal to that slice of the level's whole signal.
+
+    The windows are found bottom up. A level covers its own hops and the
+    part of it that the level below reads: that level's window mapped by
+    ``down / up`` and widened on each side by the reach of
+    ``resample_poly``'s filter, ``10 * max(up, down) / up`` samples (plus
+    2 for rounding), its start rounded down to a multiple of ``down`` so
+    that each resampled sample meets the same filter phase as in the whole
+    signal. Then each level is resampled from its parent's window, top
+    down, by one unchanged ``resample_poly`` call: its kept samples read
+    nothing past the window's ends but the zeros the whole-signal call
+    reads past the ends of the signal. Windows running past the end of a
+    signal are clipped by the slicing.
     """
-    b, a = ba
-    state = np.zeros(2)
-    step = _BLOCK_HOPS * hop
-    for start in range(0, len(samples), step):
-        y, state = signal.lfilter(b, a, samples[start:start + step],
-                                  zi=state)
-        heads = np.maximum.reduceat(np.abs(y, out=y),
-                                    np.arange(0, len(y), hop))
-        out[start // hop:start // hop + len(heads)] = heads
+    plan = []
+    start, stop = math.inf, 0  # the bottom level feeds no level
+    for hop, up, down in reversed(levels):
+        start, stop = min(start, t0 * hop), max(stop, t1 * hop)
+        reach = 10 * max(up, down) // up + 2
+        read = (max(0, (start * down // up - reach) // down * down),
+                -(-stop * down // up) + reach)
+        plan.append((start, stop, read))
+        start, stop = read
+    plan.reverse()
+
+    start, stop, _ = plan[0]
+    signals = [samples[start:stop]]
+    for (_, up, down), (start, stop, (lo, hi)), (parent_start, _, _) in zip(
+            levels[1:], plan[1:], plan):
+        x = signal.resample_poly(
+            signals[-1][lo - parent_start:hi - parent_start], up, down)
+        offset = lo // down * up  # x[0] is this level's sample offset
+        signals.append(x[start - offset:stop - offset])
+    return [x[t0 * hop - start:t1 * hop - start]
+            for x, (hop, _, _), (start, _, _) in zip(signals, levels, plan)]
+
+
+def _filter_band(ba: tuple[np.ndarray, np.ndarray], samples: np.ndarray,
+                 hop: int, zi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Filter one block of a band's signal from the lfilter state ``zi``,
+    write the per-hop maxima of |filtered samples| into ``out`` (the
+    partial last hop included), and return the state after the block."""
+    y, zi = signal.lfilter(*ba, samples, zi=zi)
+    np.maximum.reduceat(np.abs(y, out=y), np.arange(0, len(y), hop),
+                        out=out)
+    return zi
 
 
 def compute_spectrogram(audio: AudioBuffer,
@@ -270,17 +324,22 @@ def compute_spectrogram(audio: AudioBuffer,
                         ) -> Spectrogram:
     """Filter the signal through the bank and frame it by window maxima.
 
-    The bands run in the groups of ``_band_groups``: each group's signal
-    is resampled from the group above with ``resample_poly`` when its hop
-    falls, its bands are designed at its rate ``sample_rate * hop_g /
-    hop``, and frames are taken on its samples with the hop ``hop_g``.
-    The frame count ``len(samples) // hop`` and the frame rate
+    The bands run in the groups of ``_band_groups``: each group's bands
+    are designed at its rate ``sample_rate * hop_g / hop`` and filtered on
+    its level of the resample cascade (``_resample_levels``), with the hop
+    ``hop_g``. The frame count ``len(samples) // hop`` and the frame rate
     ``sample_rate / hop`` are those of the input. Each band is filtered
     causally (forward pass, zero initial state); a frame holds the
     maximum of |filtered| over its window. Window width is
-    ``window_factor`` hops (default: non-overlapping windows). A group's
-    bands are filtered block by block on one thread per available core,
-    and the group is done before the next one is resampled from it.
+    ``window_factor`` hops (default: non-overlapping windows).
+
+    The signal streams through the cascade ``_BLOCK_HOPS`` input hops at
+    a time (``_block_signals``), each band's lfilter state carried from
+    block to block, so the values equal those of one resample and one
+    filter pass over each whole group signal. A block's bands are
+    filtered on one thread per available core, and one of those threads
+    resamples the next block meanwhile; the memory this takes beyond the
+    input samples and the output matrix does not grow with the recording.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -300,25 +359,46 @@ def compute_spectrogram(audio: AudioBuffer,
             f"frame of {ratio:.0f}")
 
     frame_rate = audio.sample_rate / hop
-    hop_maxima = np.empty((config.num_bands, -(-len(samples) // hop)))
-    signal_hop = hop
+    groups = _band_groups(config, hop, frame_rate)
+    hops = sorted({hop, *(group_hop for _, group_hop in groups)},
+                  reverse=True)
+    levels = _resample_levels(hops)
+    rows, bank, band_levels, band_hops = [], [], [], []
+    for group_rows, group_hop in groups:
+        rows += group_rows
+        bank += design_filterbank(
+            replace(config, midi_low=config.midi_low + group_rows[0],
+                    num_bands=len(group_rows)),
+            audio.sample_rate * group_hop / hop)
+        band_levels += [hops.index(group_hop)] * len(group_rows)
+        band_hops += [group_hop] * len(group_rows)
+
+    num_hops = -(-len(samples) // hop)
+    hop_maxima = np.empty((config.num_bands, num_frames))
+    states = [np.zeros(2)] * config.num_bands
     with ThreadPoolExecutor(_num_workers(config.num_bands)) as pool:
-        for rows, group_hop in _band_groups(config, hop, frame_rate):
-            if group_hop < signal_hop:
-                g = math.gcd(group_hop, signal_hop)
-                samples = signal.resample_poly(samples, group_hop // g,
-                                               signal_hop // g)
-                signal_hop = group_hop
-            bank = design_filterbank(
-                replace(config, midi_low=config.midi_low + rows[0],
-                        num_bands=len(rows)),
-                audio.sample_rate * group_hop / hop)
-            # list() waits for the whole group and re-raises an exception
-            # from a worker
-            list(pool.map(_filter_band, bank, repeat(samples),
-                          repeat(group_hop),
-                          hop_maxima[rows.start:rows.stop]))
-    values = _frame_maxima(hop_maxima, config.window_factor, num_frames)
+        following = pool.submit(_block_signals, samples, levels, 0,
+                                _BLOCK_HOPS)
+        for t0 in range(0, num_hops, _BLOCK_HOPS):
+            signals = following.result()
+            t1 = min(t0 + _BLOCK_HOPS, num_hops)
+            if t1 < num_hops:
+                # queued ahead of this block's bands, so one worker
+                # resamples while the others filter
+                following = pool.submit(_block_signals, samples, levels, t1,
+                                        t1 + _BLOCK_HOPS)
+            block = np.empty((config.num_bands, t1 - t0))
+            # list() waits for the block and re-raises an exception from
+            # a worker
+            states = list(pool.map(_filter_band, bank,
+                                   [signals[k] for k in band_levels],
+                                   band_hops, states,
+                                   [block[r] for r in rows]))
+            hop_maxima[:, t0:t1] = block[:, :num_frames - t0]
+    # the last block's column past the whole hops, if any, is the
+    # partial last hop
+    values = _frame_maxima(hop_maxima, block[:, num_frames - t0:],
+                           config.window_factor)
 
     return Spectrogram(values=values, frame_rate=frame_rate,
                        midi_low=config.midi_low)

@@ -48,8 +48,8 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
 
     The CSV carries no frame rate, so the effective rate must be supplied.
     ValueError unless it has at least one band column, a header that
-    ``_feature_header`` would write, and rows, all as wide as the header,
-    of finite non-negative values.
+    ``_feature_header`` would write with no band past MIDI pitch 127, and
+    rows, all as wide as the header, of finite non-negative values.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
@@ -64,6 +64,9 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
             raise ValueError(
                 f"{path!r}: band columns must run p<low>, p<low + 1>, ... "
                 f"one semitone apart, got {','.join(header[1:])!r}")
+        if midi_low + len(header) - 2 > 127:
+            raise ValueError(f"{path!r}: band columns run past MIDI pitch "
+                             f"127, got {header[-1]!r}")
         with warnings.catch_warnings():
             # a header-only CSV has no rows; that is rejected below
             warnings.simplefilter("ignore", UserWarning)

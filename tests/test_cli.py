@@ -249,6 +249,21 @@ class TestAlign:
                      "--score", str(score)]) == EXIT_IO
         assert "band columns" in capsys.readouterr().err
 
+    def test_dump_with_band_columns_past_midi_127_is_io_error(
+            self, tmp_path, capsys):
+        # `features` can never write p128 (the filterbank stops at 127),
+        # so a dump that has it is not one of ours, even though the score
+        # only needs p127
+        score = tmp_path / "score.json"
+        score.write_text(json.dumps([{"beat": float(b), "pitches": [127]}
+                                     for b in range(4)]))
+        raw = tmp_path / "raw.csv"
+        raw.write_text("frame,p126,p127,p128\n"
+                       + "".join(f"{t},0.5,0.25,0.125\n" for t in range(300)))
+        assert main(["align", "--features", str(raw),
+                     "--score", str(score)]) == EXIT_IO
+        assert "past MIDI pitch 127" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [
         ("--initial-window", "nan"), ("--initial-window", "inf"),
         ("--frame-rate", "nan"), ("--stretch-max", "inf"),

@@ -1,6 +1,7 @@
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,8 +113,10 @@ class TestDesignFilterbank:
 def window_max(x, hop, window):
     """Window maxima of a 1-D signal as ``compute_spectrogram`` frames its
     bands, for windows of whole hops."""
-    return _frame_maxima(np.maximum.reduceat(x, np.arange(0, len(x), hop)),
-                         window // hop, len(x) // hop)
+    hop_maxima = np.maximum.reduceat(x, np.arange(0, len(x), hop))
+    whole = len(x) // hop
+    return _frame_maxima(hop_maxima[:whole], hop_maxima[whole:],
+                         window // hop)
 
 
 class TestWindowMax:
@@ -301,6 +304,24 @@ class TestBlockwiseFiltering:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_working_memory_does_not_grow_with_the_recording(self):
+        # the signal streams through the resample cascade block by block,
+        # so all that grows with the recording is the output matrix
+        rng = np.random.default_rng(9)
+        extra = []
+        for seconds in (60, 240):
+            audio = AudioBuffer(
+                rng.uniform(-0.5, 0.5, seconds * self.SAMPLE_RATE),
+                self.SAMPLE_RATE)
+            tracemalloc.start()
+            try:
+                values = compute_spectrogram(audio).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - values.nbytes)
+        assert extra[1] - extra[0] < 1e6
+
     def test_one_worker_per_core_at_most_one_per_band(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0, 1, 2, 3}, raising=False)
@@ -362,6 +383,25 @@ class TestDecimatedFiltering:
         # a short signal, and three blocks with the last one partial;
         # ragged lengths leave a partial last hop
         for length in (hop + 5, whole, whole + 1, whole + hop - 1):
+            audio = AudioBuffer(rng.uniform(-0.5, 0.5, length), sample_rate)
+            values = compute_spectrogram(audio, config).values
+            assert values.shape == (88, length // hop)
+            assert np.array_equal(values,
+                                  reference_spectrogram(audio, config))
+
+    # the widest reaches of resample_poly's filter: 441 -> 216 is 24/49 at
+    # 22.05 kHz, and 1920 -> 216 is 9/80 at 96 kHz
+    @pytest.mark.parametrize("block_hops", [1, 2])
+    @pytest.mark.parametrize("sample_rate", [22050, 96000])
+    def test_streamed_cascade_matches_full_length_oracle(
+            self, monkeypatch, sample_rate, block_hops):
+        monkeypatch.setattr(filterbank, "_BLOCK_HOPS", block_hops)
+        rng = np.random.default_rng([sample_rate, block_hops])
+        config = FilterbankConfig(window_factor=2)
+        hop = int(round(sample_rate / config.frame_rate))
+        # a short signal, and many blocks; ragged lengths leave a partial
+        # last hop
+        for length in (hop + 5, 7 * hop, 7 * hop + 1, 9 * hop - 1):
             audio = AudioBuffer(rng.uniform(-0.5, 0.5, length), sample_rate)
             values = compute_spectrogram(audio, config).values
             assert values.shape == (88, length // hop)
