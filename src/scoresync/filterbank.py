@@ -5,9 +5,11 @@ equal-tempered key frequencies and bounded by the quarter-tone midpoints
 to the neighboring keys. Each band is filtered causally in double
 precision, rectified, and aggregated into frames by the maximum absolute
 value per window, giving an 88 x T activation matrix at (nominally)
-50 frames per second. Each band's filter is scipy's ``(b, a)`` pair, and
-the matrix records only its lowest pitch: row ``r`` of a ``Spectrogram``
-is MIDI pitch ``midi_low + r``.
+50 frames per second. Each band's filter is scipy's ``(b, a)`` pair, the
+bands of a group designed together in one numpy pass that equals
+``scipy.signal.butter`` float for float (``_design_bands``), and the
+matrix records only its lowest pitch: row ``r`` of a ``Spectrogram`` is
+MIDI pitch ``midi_low + r``.
 
 A band only needs the signal below its own upper edge, so the bank runs
 in groups of ``_GROUP_BANDS`` bands (one octave), counted from the top
@@ -28,23 +30,30 @@ whose hop does not fall reuses the previous signal. Each group is
 designed at its own rate.
 
 The distinct hops form a resample cascade, the input its first level
-(``_resample_levels``), and the recording streams through it
-``_BLOCK_HOPS`` input hops at a time (``_block_signals``): each level's
-window of a block is resampled from a window of the level above that
-reaches as far as ``resample_poly``'s filter does, so it equals that
-slice of the whole-signal resample. Each band filters its group's window
-of the block from the lfilter state the previous block left, so its
-filtered samples are those of a single pass over the whole group signal,
-and reduces it to per-hop maxima (``np.maximum.reduceat``). Every group
-has ``ceil(len(samples) / hop)`` hops, so the per-hop maxima of all bands
-form one band x hop matrix, and frame t is the maximum of hops
-t .. t + window_factor - 1 of that matrix (``_frame_maxima``), truncated
-at the end of the signal: one sliding-maximum pass in place, however wide
-the window. A block's bands are filtered on one thread per available
-core, and one of those threads resamples the next block. Beyond the input
-samples and the output matrix, the front end therefore holds the
-cascade's windows of two blocks, one block of filtered samples per thread
-and one block of per-hop maxima, however long the recording is.
+(``_resample_levels``, which designs each level's FIR once), and the
+recording streams through it ``_BLOCK_HOPS`` input hops at a time
+(``_block_signals``): each level's window of a block is resampled from a
+window of the level above that reaches as far as ``resample_poly``'s
+filter does, so it equals that slice of the whole-signal resample. Each
+band filters its group's window of the block from the lfilter state the
+previous block left, so its filtered samples are those of a single pass
+over the whole group signal, and reduces it to per-hop maxima
+(``np.maximum.reduceat``). Every group has ``ceil(len(samples) / hop)``
+hops, so the per-hop maxima of all bands form one band x hop matrix, and
+frame t is the maximum of hops t .. t + window_factor - 1 of that matrix
+(``_frame_maxima``), truncated at the end of the signal: one
+sliding-maximum pass in place, however wide the window.
+
+A block's band groups are filtered on one thread per available core, one
+pool task per group, and one of those threads resamples the next block.
+scipy's ``lfilter`` holds the interpreter lock, so the filtering itself
+runs on one thread at a time: the threads overlap only the resample and
+the ``abs``/``reduceat`` with it. A task per group (8 for the 88 keys)
+rather than per band keeps the pool's own cost per block small, since it
+buys no parallel filtering. Beyond the input samples and the output
+matrix, the front end holds the cascade's windows of two blocks, one
+block of filtered samples per thread and one block of per-hop maxima,
+however long the recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -66,8 +75,10 @@ from .errors import ConfigurationError, EmptyAudioError, check_finite
 # input hops per block of the resample cascade and the filtering: small
 # enough that two blocks of group signals and a block of filtered samples
 # per thread take no more memory than the whole-signal groups of a 36 s
-# recording, large enough that the per-block costs (88 lfilter tasks and
-# a filter design in every resample_poly call) stay small
+# recording, large enough that the per-block costs stay small: a pool task
+# per band group, a resample_poly call per cascade level, and the lfilter
+# calls, which hold the interpreter lock, so only the resample and the
+# abs/reduceat of the other threads run beside them
 _BLOCK_HOPS = 384
 # lowest rate of a band group, in multiples of its top band's upper edge:
 # the edge then sits at no more than 0.8 of the group's Nyquist frequency,
@@ -164,6 +175,60 @@ def band_edges(midi_pitch: int,
     return fc * 2.0 ** (-1.0 / 24.0), fc * 2.0 ** (1.0 / 24.0)
 
 
+def _design_bands(edges: np.ndarray, sample_rate: float,
+                  labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order Butterworth bandpass of each row ``(lo, hi)`` of
+    ``edges``, as scipy's ``b`` and ``a`` with one row of three
+    coefficients per band; a ConfigurationError for the first bad band
+    starts with its entry in ``labels``.
+
+    One numpy pass over all rows takes the steps of
+    ``signal.butter(1, [lo, hi], "bandpass", fs=sample_rate)`` with the
+    same operations in the same order, so each row equals that design
+    float for float: pre-warp both edges at scipy's normalized rate of 2,
+    turn the first-order lowpass prototype's pole at -1 into a bandpass
+    pole pair around the pre-warped center ``wo`` with the pre-warped
+    bandwidth ``bw``, and discretize the pair by the bilinear transform,
+    with the zeros at DC and Nyquist and unit gain at the warp-consistent
+    center. ``a`` is ``1, -(re p + re q), re p * re q - im p * im q`` for
+    the poles ``p`` and ``q``: the dot products by which ``np.convolve``
+    expands them (numpy's elementwise complex product can differ from
+    them in the last bit). The poles also give the stability check.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    for label, (lo, hi) in zip(labels, edges.tolist()):
+        if not 0.0 < lo < hi:
+            raise ConfigurationError(f"{label}invalid band edges ({lo}, {hi})")
+        if hi >= sample_rate / 2.0:
+            raise ConfigurationError(
+                f"{label}band edge {hi:.2f} Hz reaches Nyquist at sample "
+                f"rate {sample_rate:g} Hz")
+    warped = 2 * 2.0 * np.tan(np.pi * (edges / (sample_rate / 2)) / 2.0)
+    bw = warped[:, 1] - warped[:, 0]
+    wo = np.sqrt(warped[:, 0] * warped[:, 1])
+    # scipy squares the Python float, whose power can differ from
+    # wo * wo in the last bit
+    wo_squared = np.array([w ** 2 for w in wo.tolist()])
+    # the prototype's pole, -exp(0j), scaled to half the bandwidth and
+    # shifted to +-wo
+    half = complex(-1.0, -0.0) * bw / 2
+    shift = np.sqrt(half ** 2 - wo_squared)
+    poles = np.stack((half + shift, half - shift), axis=1)
+    gain = bw * np.real(4.0 / np.prod(4.0 - poles, axis=1))
+    poles = (4.0 + poles) / (4.0 - poles)
+    unstable = np.flatnonzero(np.any(np.abs(poles) >= 1.0, axis=1))
+    if unstable.size:
+        lo, hi = edges[unstable[0]].tolist()
+        raise ConfigurationError(
+            f"{labels[unstable[0]]}unstable design for band ({lo:.3f}, "
+            f"{hi:.3f}) Hz at {sample_rate:g} Hz")
+    b = gain[:, None] * np.array([1.0, 0.0, -1.0])
+    p, q = poles.T
+    a = np.stack((np.ones_like(bw), -(p.real + q.real),
+                  p.real * q.real - p.imag * q.imag), axis=1)
+    return b, a
+
+
 def design_bandpass(lo: float, hi: float,
                     sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order Butterworth bandpass with -3 dB points at lo and hi,
@@ -171,35 +236,24 @@ def design_bandpass(lo: float, hi: float,
 
     First-order lowpass prototype transformed to bandpass and discretized
     by the bilinear transform with both edges pre-warped, i.e. unit gain
-    at the warp-consistent center and exactly -3 dB at the edges.
+    at the warp-consistent center and exactly -3 dB at the edges: one row
+    of ``_design_bands``, equal to ``signal.butter(1, [lo, hi],
+    "bandpass", fs=sample_rate)``.
     """
-    if not 0.0 < lo < hi:
-        raise ConfigurationError(f"invalid band edges ({lo}, {hi})")
-    if hi >= sample_rate / 2.0:
-        raise ConfigurationError(
-            f"band edge {hi:.2f} Hz reaches Nyquist at sample rate "
-            f"{sample_rate:g} Hz")
-    b, a = signal.butter(1, [lo, hi], btype="bandpass", fs=sample_rate)
-    if np.any(np.abs(np.roots(a)) >= 1.0):
-        raise ConfigurationError(
-            f"unstable design for band ({lo:.3f}, {hi:.3f}) Hz "
-            f"at {sample_rate:g} Hz")
-    return b, a
+    b, a = _design_bands([[lo, hi]], sample_rate, [""])
+    return b[0], a[0]
 
 
 def design_filterbank(config: FilterbankConfig, sample_rate: float
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Design all bands; any edge at/above Nyquist is an error (bands are
-    never dropped silently, which would desynchronize rows from pitches)."""
-    bank = []
-    for pitch in config.band_pitches:
-        lo, hi = band_edges(int(pitch), config)
-        try:
-            bank.append(design_bandpass(lo, hi, sample_rate))
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"band for MIDI pitch {pitch}: {exc}") from exc
-    return bank
+    """Design all bands in one pass of ``_design_bands``; any edge
+    at/above Nyquist is an error (bands are never dropped silently, which
+    would desynchronize rows from pitches)."""
+    pitches = config.band_pitches.tolist()
+    b, a = _design_bands(
+        [band_edges(pitch, config) for pitch in pitches], sample_rate,
+        [f"band for MIDI pitch {pitch}: " for pitch in pitches])
+    return list(zip(b, a))
 
 
 def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
@@ -226,13 +280,14 @@ def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
     return hop_maxima
 
 
-def _num_workers(num_bands: int) -> int:
-    """One thread per core this process may run on, at most one per band."""
+def _num_workers(num_groups: int) -> int:
+    """One thread per core this process may run on, at most one per band
+    group."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(cores, num_bands)
+    return min(cores, num_groups)
 
 
 def _band_groups(config: FilterbankConfig, hop: int,
@@ -256,19 +311,32 @@ def _band_groups(config: FilterbankConfig, hop: int,
     return groups
 
 
-def _resample_levels(hops: list[int]) -> list[tuple[int, int, int]]:
-    """``(hop, up, down)`` of each level of the resample cascade, given
-    its hops in falling order: level 0 is the input, and level k is level
-    k - 1 resampled by ``up / down = hops[k] / hops[k - 1]`` in lowest
-    terms."""
-    levels = [(hops[0], 1, 1)]
+def _resample_levels(hops: list[int]
+                     ) -> list[tuple[int, int, int, np.ndarray | None]]:
+    """``(hop, up, down, fir)`` of each level of the resample cascade,
+    given its hops in falling order: level 0 is the input (no ``fir``),
+    and level k is level k - 1 resampled by ``up / down = hops[k] /
+    hops[k - 1]`` in lowest terms through ``fir``.
+
+    ``fir`` is the lowpass ``resample_poly`` designs for ``up / down``
+    with its default window (cutoff ``1 / max(up, down)`` of Nyquist,
+    ``10 * max(up, down)`` taps each side of the center, Kaiser beta 5),
+    designed once here and passed as its ``window``. ``resample_poly``
+    copies an array ``window`` and scales it by ``up`` exactly as it does
+    its own design, so the resampled samples are the same, without a
+    design in every block.
+    """
+    levels = [(hops[0], 1, 1, None)]
     for parent, hop in zip(hops, hops[1:]):
         g = math.gcd(hop, parent)
-        levels.append((hop, hop // g, parent // g))
+        up, down = hop // g, parent // g
+        fir = signal.firwin(20 * max(up, down) + 1, 1.0 / max(up, down),
+                            window=("kaiser", 5.0))
+        levels.append((hop, up, down, fir))
     return levels
 
 
-def _block_signals(samples: np.ndarray, levels: list[tuple[int, int, int]],
+def _block_signals(samples: np.ndarray, levels: list[tuple],
                    t0: int, t1: int) -> list[np.ndarray]:
     """Each level's samples of hops ``t0 .. t1 - 1`` (the partial last hop
     included), equal to that slice of the level's whole signal.
@@ -280,14 +348,15 @@ def _block_signals(samples: np.ndarray, levels: list[tuple[int, int, int]],
     2 for rounding), its start rounded down to a multiple of ``down`` so
     that each resampled sample meets the same filter phase as in the whole
     signal. Then each level is resampled from its parent's window, top
-    down, by one unchanged ``resample_poly`` call: its kept samples read
-    nothing past the window's ends but the zeros the whole-signal call
-    reads past the ends of the signal. Windows running past the end of a
-    signal are clipped by the slicing.
+    down, by one ``resample_poly`` call with the level's ``fir``, as the
+    whole-signal call designs it: its kept samples read nothing past the
+    window's ends but the zeros the whole-signal call reads past the ends
+    of the signal. Windows running past the end of a signal are clipped by
+    the slicing.
     """
     plan = []
     start, stop = math.inf, 0  # the bottom level feeds no level
-    for hop, up, down in reversed(levels):
+    for hop, up, down, _ in reversed(levels):
         start, stop = min(start, t0 * hop), max(stop, t1 * hop)
         reach = 10 * max(up, down) // up + 2
         read = (max(0, (start * down // up - reach) // down * down),
@@ -298,25 +367,31 @@ def _block_signals(samples: np.ndarray, levels: list[tuple[int, int, int]],
 
     start, stop, _ = plan[0]
     signals = [samples[start:stop]]
-    for (_, up, down), (start, stop, (lo, hi)), (parent_start, _, _) in zip(
-            levels[1:], plan[1:], plan):
+    for (_, up, down, fir), (start, stop, (lo, hi)), (parent_start, _, _) \
+            in zip(levels[1:], plan[1:], plan):
         x = signal.resample_poly(
-            signals[-1][lo - parent_start:hi - parent_start], up, down)
+            signals[-1][lo - parent_start:hi - parent_start], up, down,
+            window=fir)
         offset = lo // down * up  # x[0] is this level's sample offset
         signals.append(x[start - offset:stop - offset])
     return [x[t0 * hop - start:t1 * hop - start]
-            for x, (hop, _, _), (start, _, _) in zip(signals, levels, plan)]
+            for x, (hop, *_), (start, _, _) in zip(signals, levels, plan)]
 
 
-def _filter_band(ba: tuple[np.ndarray, np.ndarray], samples: np.ndarray,
-                 hop: int, zi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Filter one block of a band's signal from the lfilter state ``zi``,
-    write the per-hop maxima of |filtered samples| into ``out`` (the
-    partial last hop included), and return the state after the block."""
-    y, zi = signal.lfilter(*ba, samples, zi=zi)
-    np.maximum.reduceat(np.abs(y, out=y), np.arange(0, len(y), hop),
-                        out=out)
-    return zi
+def _filter_group(bank: list[tuple[np.ndarray, np.ndarray]],
+                  samples: np.ndarray, hop: int, states: list[np.ndarray],
+                  out: np.ndarray) -> list[np.ndarray]:
+    """Filter one block of a band group's signal through each band of
+    ``bank`` from that band's lfilter state in ``states``, write band i's
+    per-hop maxima of |filtered samples| into ``out[i]`` (the partial
+    last hop included), and return the states after the block."""
+    starts = np.arange(0, len(samples), hop)
+    following = []
+    for (b, a), zi, row in zip(bank, states, out):
+        y, zi = signal.lfilter(b, a, samples, zi=zi)
+        np.maximum.reduceat(np.abs(y, out=y), starts, out=row)
+        following.append(zi)
+    return following
 
 
 def compute_spectrogram(audio: AudioBuffer,
@@ -336,10 +411,11 @@ def compute_spectrogram(audio: AudioBuffer,
     The signal streams through the cascade ``_BLOCK_HOPS`` input hops at
     a time (``_block_signals``), each band's lfilter state carried from
     block to block, so the values equal those of one resample and one
-    filter pass over each whole group signal. A block's bands are
-    filtered on one thread per available core, and one of those threads
-    resamples the next block meanwhile; the memory this takes beyond the
-    input samples and the output matrix does not grow with the recording.
+    filter pass over each whole group signal. A block's band groups are
+    filtered on one thread per available core, one task per group, and
+    one of those threads resamples the next block meanwhile; the memory
+    this takes beyond the input samples and the output matrix does not
+    grow with the recording.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -363,37 +439,34 @@ def compute_spectrogram(audio: AudioBuffer,
     hops = sorted({hop, *(group_hop for _, group_hop in groups)},
                   reverse=True)
     levels = _resample_levels(hops)
-    rows, bank, band_levels, band_hops = [], [], [], []
-    for group_rows, group_hop in groups:
-        rows += group_rows
-        bank += design_filterbank(
-            replace(config, midi_low=config.midi_low + group_rows[0],
-                    num_bands=len(group_rows)),
-            audio.sample_rate * group_hop / hop)
-        band_levels += [hops.index(group_hop)] * len(group_rows)
-        band_hops += [group_hop] * len(group_rows)
+    banks = [design_filterbank(
+        replace(config, midi_low=config.midi_low + rows[0],
+                num_bands=len(rows)),
+        audio.sample_rate * group_hop / hop) for rows, group_hop in groups]
+    group_levels = [hops.index(group_hop) for _, group_hop in groups]
+    group_hops = [group_hop for _, group_hop in groups]
 
     num_hops = -(-len(samples) // hop)
     hop_maxima = np.empty((config.num_bands, num_frames))
-    states = [np.zeros(2)] * config.num_bands
-    with ThreadPoolExecutor(_num_workers(config.num_bands)) as pool:
+    states = [[np.zeros(2)] * len(rows) for rows, _ in groups]
+    with ThreadPoolExecutor(_num_workers(len(groups))) as pool:
         following = pool.submit(_block_signals, samples, levels, 0,
                                 _BLOCK_HOPS)
         for t0 in range(0, num_hops, _BLOCK_HOPS):
             signals = following.result()
             t1 = min(t0 + _BLOCK_HOPS, num_hops)
             if t1 < num_hops:
-                # queued ahead of this block's bands, so one worker
+                # queued ahead of this block's groups, so one worker
                 # resamples while the others filter
                 following = pool.submit(_block_signals, samples, levels, t1,
                                         t1 + _BLOCK_HOPS)
             block = np.empty((config.num_bands, t1 - t0))
             # list() waits for the block and re-raises an exception from
             # a worker
-            states = list(pool.map(_filter_band, bank,
-                                   [signals[k] for k in band_levels],
-                                   band_hops, states,
-                                   [block[r] for r in rows]))
+            states = list(pool.map(
+                _filter_group, banks, [signals[k] for k in group_levels],
+                group_hops, states,
+                [block[rows.start:rows.stop] for rows, _ in groups]))
             hop_maxima[:, t0:t1] = block[:, :num_frames - t0]
     # the last block's column past the whole hops, if any, is the
     # partial last hop

@@ -5,6 +5,9 @@ Feature CSVs do too unless full precision is requested: 17 significant
 digits, which round-trip float64 exactly, so a dumped raw spectrogram
 reproduces an alignment bit for bit. The band columns of a feature CSV
 run up from ``p<midi_low>`` one semitone at a time; no other header reads.
+Row t is frame t, and the reader rejects a ``frame`` column that does not
+number the rows 0, 1, ..., so a dump with missing or reordered rows
+cannot shift the frames after them.
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -49,7 +52,8 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     The CSV carries no frame rate, so the effective rate must be supplied.
     ValueError unless it has at least one band column, a header that
     ``_feature_header`` would write with no band past MIDI pitch 127, and
-    rows, all as wide as the header, of finite non-negative values.
+    rows, all as wide as the header, of finite non-negative values, whose
+    ``frame`` column numbers them 0, 1, ...: row t is frame t.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
@@ -74,6 +78,12 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     if rows.shape[0] == 0 or rows.shape[1] != len(header):
         raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
                          f"values after the header")
+    frames = rows[:, 0]
+    wrong = np.flatnonzero(frames != np.arange(len(frames)))
+    if wrong.size:
+        t = int(wrong[0])
+        raise ValueError(f"{path!r}: frames must run 0, 1, ... one per row, "
+                         f"but row {t} holds frame {frames[t]:g}")
     values = rows[:, 1:].T
     if not np.all(np.isfinite(values) & (values >= 0)):
         raise ValueError(f"{path!r}: feature values must be finite and "

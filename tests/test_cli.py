@@ -264,6 +264,24 @@ class TestAlign:
                      "--score", str(score)]) == EXIT_IO
         assert "past MIDI pitch 127" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["gap", "swap", "offset", "fraction"])
+    def test_dump_with_frames_out_of_sequence_is_io_error(
+            self, piece, tmp_path, capsys, edit):
+        # row t is read as frame t, so a dump with missing, reordered or
+        # renumbered rows would shift every onset after the edit
+        raw, lines = self._dump_rows(piece, tmp_path)
+        header, rows = lines[0], lines[1:]
+        if edit == "gap":
+            del rows[50:80]
+        elif edit == "swap":
+            rows[50], rows[51] = rows[51], rows[50]
+        else:
+            shift = 1 if edit == "offset" else 0.5
+            rows = [f"{int(row.split(',', 1)[0]) + shift},"
+                    f"{row.split(',', 1)[1]}" for row in rows]
+        assert self._align_dump(piece, raw, [header] + rows) == EXIT_IO
+        assert "frames must run 0, 1, ..." in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [
         ("--initial-window", "nan"), ("--initial-window", "inf"),
         ("--frame-rate", "nan"), ("--stretch-max", "inf"),

@@ -1,7 +1,9 @@
 import os
 import sys
+import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +110,37 @@ class TestDesignFilterbank:
         # at 8 kHz the top piano bands exceed the 4 kHz Nyquist limit
         with pytest.raises(ConfigurationError, match="pitch"):
             design_filterbank(FilterbankConfig(), 8000)
+
+    # at A = 415 Hz (baroque pitch) some bands' squared pre-warped center
+    # differs in the last bit between Python's float power, which scipy
+    # uses, and a product
+    @pytest.mark.parametrize("reference_freq", [440.0, 415.0])
+    @pytest.mark.parametrize("frame_rate", [50.0, 100.0])
+    @pytest.mark.parametrize("sample_rate", [8000, 11025, 16000, 22050,
+                                             44100, 48000, 96000])
+    def test_equals_scipy_butter_at_every_group_rate(
+            self, sample_rate, frame_rate, reference_freq):
+        # the one-pass design takes scipy's steps, so every band below
+        # Nyquist equals signal.butter float for float at each rate a
+        # band group runs at
+        config = FilterbankConfig(frame_rate=frame_rate,
+                                  reference_freq=reference_freq)
+        hop = int(round(sample_rate / frame_rate))
+        rates = {sample_rate * group_hop / hop for _, group_hop in
+                 filterbank._band_groups(config, hop, sample_rate / hop)}
+        for rate in sorted(rates):
+            edges = [band_edges(int(pitch), config)
+                     for pitch in config.band_pitches]
+            below = [(lo, hi) for lo, hi in edges if hi < rate / 2]
+            bank = design_filterbank(replace(config, num_bands=len(below)),
+                                     rate)
+            assert len(bank) == len(below)
+            for (lo, hi), (b, a) in zip(below, bank):
+                b_ref, a_ref = signal.butter(1, [lo, hi], "bandpass",
+                                             fs=rate)
+                assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+                b, a = design_bandpass(lo, hi, rate)
+                assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
 
 
 def window_max(x, hop, window):
@@ -321,6 +354,34 @@ class TestBlockwiseFiltering:
                 tracemalloc.stop()
             extra.append(peak - values.nbytes)
         assert extra[1] - extra[0] < 1e6
+
+    def test_same_values_for_any_worker_count_and_block_size(
+            self, monkeypatch):
+        # one task per band group and block, queued behind the next
+        # block's resample: a single worker runs them in turn without
+        # waiting on itself, and more workers change no value
+        rng = np.random.default_rng(10)
+        audio = AudioBuffer(rng.uniform(-0.5, 0.5, 384 * 441 + 5000), 22050)
+        config = FilterbankConfig(window_factor=2)
+        values = []
+        for block_hops in (1, 384):
+            monkeypatch.setattr(filterbank, "_BLOCK_HOPS", block_hops)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(filterbank, "_num_workers",
+                                    lambda num_groups, workers=workers:
+                                    workers)
+                done = []
+                thread = threading.Thread(
+                    target=lambda: done.append(
+                        compute_spectrogram(audio, config).values),
+                    daemon=True)
+                thread.start()
+                thread.join(timeout=120)
+                assert not thread.is_alive() and len(done) == 1
+                values.append(done[0])
+        assert np.array_equal(values[0], reference_spectrogram(audio, config))
+        for other in values[1:]:
+            assert np.array_equal(other, values[0])
 
     def test_one_worker_per_core_at_most_one_per_band(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
