@@ -46,14 +46,12 @@ sliding-maximum pass in place, however wide the window.
 
 A block's band groups are filtered on one thread per available core, one
 pool task per group, and one of those threads resamples the next block.
-scipy's ``lfilter`` holds the interpreter lock, so the filtering itself
-runs on one thread at a time: the threads overlap only the resample and
-the ``abs``/``reduceat`` with it. A task per group (8 for the 88 keys)
-rather than per band keeps the pool's own cost per block small, since it
-buys no parallel filtering. Beyond the input samples and the output
-matrix, the front end holds the cascade's windows of two blocks, one
-block of filtered samples per thread and one block of per-hop maxima,
-however long the recording is.
+scipy's ``lfilter`` releases the interpreter lock while it filters, so the
+groups filter in parallel. A task per group (8 for the 88 keys) rather
+than per band keeps the pool's own cost per block small. Beyond the input
+samples and the output matrix, the front end holds the cascade's windows
+of two blocks, one block of filtered samples per thread and one block of
+per-hop maxima, however long the recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -76,9 +74,8 @@ from .errors import ConfigurationError, EmptyAudioError, check_finite
 # enough that two blocks of group signals and a block of filtered samples
 # per thread take no more memory than the whole-signal groups of a 36 s
 # recording, large enough that the per-block costs stay small: a pool task
-# per band group, a resample_poly call per cascade level, and the lfilter
-# calls, which hold the interpreter lock, so only the resample and the
-# abs/reduceat of the other threads run beside them
+# per band group, a resample_poly call per cascade level and an lfilter
+# call per band
 _BLOCK_HOPS = 384
 # lowest rate of a band group, in multiples of its top band's upper edge:
 # the edge then sits at no more than 0.8 of the group's Nyquist frequency,
@@ -280,14 +277,14 @@ def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
     return hop_maxima
 
 
-def _num_workers(num_groups: int) -> int:
-    """One thread per core this process may run on, at most one per band
-    group."""
+def _num_workers(num_tasks: int) -> int:
+    """One worker per core this process may run on, at most one per task:
+    a band group here, a row block of a feature CSV in ``formats``."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(cores, num_groups)
+    return min(cores, num_tasks)
 
 
 def _band_groups(config: FilterbankConfig, hop: int,

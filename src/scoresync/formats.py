@@ -9,22 +9,91 @@ Row t is frame t, and the reader rejects a ``frame`` column that does not
 number the rows 0, 1, ..., so a dump with missing or reordered rows
 cannot shift the frames after them.
 
+Feature CSVs are written and read in row blocks (``_map_blocks``), on a
+pool of one forked process per available core when there are more than
+two blocks: the writer formats ``_BLOCK_ROWS`` frames per task and writes
+the blocks in order, so its bytes do not depend on the pool, and keeps
+at most ``_BLOCKS_AHEAD`` blocks per process in flight. The reader splits
+the file at line ends about every ``_BLOCK_BYTES`` bytes, and each task
+reads and parses its own byte range, so the parent never holds the text.
+With one core, one or two blocks, no ``fork`` start method, or other
+threads running in the process, the same blocks run in process. A row
+that does not parse is reported by its line in the file, whichever block
+holds it.
+
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
 ``score_index`` is not its 0-based position.
 """
 
+import collections
+import io
 import json
 import math
+import threading
 import warnings
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from .dp_align import AlignmentResult
-from .filterbank import Spectrogram
+from .filterbank import Spectrogram, _num_workers
 from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
+
+# frames per block of a feature CSV write: about 0.5 MB of full-precision
+# text at 88 bands, so a task's pickling and pipe costs stay small beside
+# its formatting, and the blocks in flight do not raise the parent's peak
+# memory (four times as many frames did, by a few MB on a 190 s piece)
+_BLOCK_ROWS = 256
+# bytes per block of a feature CSV read: about 1,100 frames at full
+# precision and 88 bands
+_BLOCK_BYTES = 1 << 21
+# blocks per worker process submitted ahead of the one being consumed:
+# enough to keep every worker busy, few enough that the parent's memory
+# does not grow with the file
+_BLOCKS_AHEAD = 2
+
+
+def _map_blocks(fn: Callable, tasks: list[tuple],
+                consume: Callable) -> None:
+    """``consume(fn(*task))`` for each task, in order.
+
+    With more than two tasks, more than one core (``_num_workers``), the
+    ``fork`` start method and no other thread in this process, ``fn`` runs
+    on a pool of one forked process per core, at most ``_BLOCKS_AHEAD``
+    tasks per process in flight; otherwise in this process. Forking keeps
+    the workers from importing the package again, and forking only a
+    single-threaded process keeps them from inheriting a lock another
+    thread holds. An exception from ``fn`` or ``consume`` propagates once
+    every worker has exited.
+    """
+    workers = _num_workers(len(tasks))
+    if len(tasks) > 2 and workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            _map_on_pool(fn, tasks, consume, workers,
+                         multiprocessing.get_context("fork"))
+            return
+    for task in tasks:
+        consume(fn(*task))
+
+
+def _map_on_pool(fn, tasks, consume, workers, context) -> None:
+    """``_map_blocks`` on a pool of ``workers`` processes of ``context``."""
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        pending = collections.deque()
+        for task in tasks:
+            pending.append(pool.submit(fn, *task))
+            if len(pending) == _BLOCKS_AHEAD * workers:
+                consume(pending.popleft().result())
+        while pending:
+            consume(pending.popleft().result())
+    finally:
+        # joins the workers; after an exception, drops the queued tasks
+        pool.shutdown(cancel_futures=True)
 
 
 def _feature_header(midi_low: int, num_bands: int) -> str:
@@ -33,17 +102,96 @@ def _feature_header(midi_low: int, num_bands: int) -> str:
         f"p{p}" for p in range(midi_low, midi_low + num_bands))
 
 
+def _format_rows(line: str, t0: int, rows: np.ndarray) -> str:
+    """``line % (t, *row)`` for frames t = t0, t0 + 1, ... and the rows of
+    ``rows``, joined; only one row is held as Python floats at a time."""
+    return "".join([line % (t, *row.tolist())
+                    for t, row in enumerate(rows, t0)])
+
+
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
                       precision=6) -> None:
     """The header of ``_feature_header``, then one row per frame, each
-    formatted by one ``%`` over the whole row; only one row is held as
-    Python floats at a time."""
+    formatted by one ``%`` over the whole row, ``_BLOCK_ROWS`` frames per
+    task of ``_map_blocks``."""
     out.write(_feature_header(spectrogram.midi_low, spectrogram.num_bands)
               + "\n")
     fmt = "%.17g" if precision == "full" else f"%.{int(precision)}g"
     line = "%d," + ",".join([fmt] * spectrogram.num_bands) + "\n"
-    for t, row in enumerate(spectrogram.values.T):
-        out.write(line % (t, *row.tolist()))
+    values = spectrogram.values
+    _map_blocks(_format_rows,
+                [(line, t0, values[:, t0:t0 + _BLOCK_ROWS].T)
+                 for t0 in range(0, values.shape[1], _BLOCK_ROWS)],
+                out.write)
+
+
+def _read_range(f, start: int, stop: int) -> bytes:
+    f.seek(start)
+    return f.read(stop - start)
+
+
+def _parse_rows(text: bytes, width: int) -> np.ndarray:
+    """The rows of the CSV lines ``text``, ``width`` numbers each; blank
+    lines are skipped, and any other line that is not such a row is a
+    ValueError."""
+    with warnings.catch_warnings():
+        # lines that are all blank give no rows
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(io.StringIO(text.decode()), delimiter=",",
+                          ndmin=2)
+    if not len(rows):
+        return np.empty((0, width))
+    if rows.shape[1] != width:
+        raise ValueError(f"expected {width} values, got {rows.shape[1]}")
+    return rows
+
+
+def _parse_range(path: str, start: int, stop: int,
+                 width: int) -> np.ndarray:
+    """``_parse_rows`` of bytes ``start`` .. ``stop`` of the file."""
+    with open(path, "rb") as f:
+        return _parse_rows(_read_range(f, start, stop), width)
+
+
+def _row_bounds(f, start: int) -> list[int]:
+    """Byte offsets that split the file ``f`` from ``start`` to its end
+    into blocks of whole lines, a block ending at the first line end at
+    or after every ``_BLOCK_BYTES`` bytes (the last block at the end of
+    the file)."""
+    size = f.seek(0, io.SEEK_END)
+    bounds = [start]
+    while bounds[-1] + _BLOCK_BYTES < size:
+        f.seek(bounds[-1] + _BLOCK_BYTES - 1)
+        f.readline()
+        if f.tell() == size:
+            break
+        bounds.append(f.tell())
+    return bounds + [size]
+
+
+def _bad_row(path: str, bounds: list[int], k: int,
+             width: int) -> ValueError:
+    """The error for the first line of block ``k`` that is not a row of
+    ``width`` numbers, naming its line in the file; the block's lines are
+    parsed one by one only on this error path."""
+    with open(path, "rb") as f:
+        # the header is line 1, and each block ends at a line end
+        first = 2 + sum(_read_range(f, a, b).count(b"\n")
+                        for a, b in zip(bounds[:k], bounds[1:k + 1]))
+        lines = _read_range(f, bounds[k], bounds[k + 1]).split(b"\n")
+    for lineno, line in enumerate(lines, first):
+        try:
+            _parse_rows(line, width)
+        except ValueError:
+            got = len(line.split(b","))
+            return ValueError(
+                f"{path!r} line {lineno}: expected a row of {width} "
+                f"comma-separated numbers"
+                + (f", got {got} values" if got != width else ""))
+    # every check of a block is a check of its lines, so this is
+    # unreachable unless loadtxt disagrees with itself
+    return ValueError(f"{path!r}: the lines from line {first} on do not "
+                      f"parse")
 
 
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
@@ -53,10 +201,12 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     ValueError unless it has at least one band column, a header that
     ``_feature_header`` would write with no band past MIDI pitch 127, and
     rows, all as wide as the header, of finite non-negative values, whose
-    ``frame`` column numbers them 0, 1, ...: row t is frame t.
+    ``frame`` column numbers them 0, 1, ...: row t is frame t. A line that
+    is not such a row is named by its line number in the file. The rows
+    are parsed in blocks of about ``_BLOCK_BYTES`` (``_map_blocks``).
     """
-    with open(path) as f:
-        header = f.readline().strip().split(",")
+    with open(path, "rb") as f:
+        header = f.readline().decode().strip().split(",")
         if header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
         if len(header) < 2:
@@ -71,10 +221,16 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         if midi_low + len(header) - 2 > 127:
             raise ValueError(f"{path!r}: band columns run past MIDI pitch "
                              f"127, got {header[-1]!r}")
-        with warnings.catch_warnings():
-            # a header-only CSV has no rows; that is rejected below
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        bounds = _row_bounds(f, f.tell())
+    blocks = []
+    try:
+        _map_blocks(_parse_range,
+                    [(path, a, b, len(header))
+                     for a, b in zip(bounds, bounds[1:])], blocks.append)
+    except ValueError:
+        raise _bad_row(path, bounds, len(blocks), len(header)) from None
+    # a header-only CSV has no rows
+    rows = np.concatenate(blocks)
     if rows.shape[0] == 0 or rows.shape[1] != len(header):
         raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
                          f"values after the header")

@@ -196,6 +196,33 @@ class TestAlign:
                      "--sample-rate", "44100", "--out", wav]) == 0
         self._assert_dump_round_trip(wav, score_path, tmp_path)
 
+    def test_dump_on_a_process_pool_matches(self, piece, tmp_path,
+                                            monkeypatch):
+        # blocks of 16 frames and 4 kB, so the piece spans many: the
+        # pooled dump equals the in-process one, and aligning from it
+        # equals aligning the audio
+        from scoresync import formats
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(formats, "_num_workers", lambda n: 1)
+        one = tmp_path / "one.csv"
+        assert main(["features", "--audio", piece["wav"], "--feature", "raw",
+                     "--precision", "full", "--out", str(one)]) == 0
+        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+        self._assert_dump_round_trip(piece["wav"], piece["score"], tmp_path)
+        assert (tmp_path / "raw.csv").read_bytes() == one.read_bytes()
+
+    def test_bad_row_in_a_late_block_names_its_line(self, piece, tmp_path,
+                                                    monkeypatch, capsys):
+        from scoresync import formats
+        monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+        raw, lines = self._dump_rows(piece, tmp_path)
+        line = len(lines) - 3
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",x"
+        assert self._align_dump(piece, raw, lines) == EXIT_IO
+        assert f"{str(raw)!r} line {line}: " in capsys.readouterr().err
+
     def _dump_rows(self, piece, tmp_path):
         raw = tmp_path / "raw.csv"
         assert main(["features", "--audio", piece["wav"], "--feature", "raw",

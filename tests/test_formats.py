@@ -1,0 +1,222 @@
+"""Feature-CSV I/O in row blocks: the pooled and the in-process paths give
+the bytes of one ``%`` per row and the values of one ``np.loadtxt``, name
+a bad row by its line in the file, and leave no worker process behind."""
+
+import io
+import multiprocessing
+import re
+import threading
+
+import numpy as np
+import pytest
+
+from scoresync import Spectrogram, formats
+
+WIDTH = 1 + 7  # the frame column and seven bands
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 16 frames and 512 bytes, so small inputs span several."""
+    monkeypatch.setattr(formats, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(formats, "_BLOCK_BYTES", 512)
+
+
+@pytest.fixture
+def pooled(monkeypatch, small_blocks):
+    """Two worker processes on any machine; fails a test that does not
+    reach the pool."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+    calls = []
+    on_pool = formats._map_on_pool
+
+    def spy(*args):
+        calls.append(args)
+        return on_pool(*args)
+
+    monkeypatch.setattr(formats, "_map_on_pool", spy)
+    yield
+    assert calls, "the blocks ran in process"
+
+
+@pytest.fixture
+def in_process(monkeypatch, small_blocks):
+    monkeypatch.setattr(formats, "_num_workers", lambda n: 1)
+
+
+def _matrix(frames):
+    rng = np.random.default_rng(3)
+    values = rng.lognormal(-2.0, 3.0, size=(WIDTH - 1, frames))
+    values[0, 3] = 5e-324  # smallest subnormal
+    values[1, 20] = 2.2250738585072014e-308 / 3  # subnormal
+    values[2, 40] = 1.7976931348623157e308  # largest finite
+    values[3, 41] = 1e300
+    values[4, 50:60] = 0.0
+    values[:, -1] = 0.0
+    return Spectrogram(values=values, frame_rate=50.0, midi_low=60)
+
+
+def _per_row(spectrogram, precision):
+    """The writer's bytes as one ``%`` per row gives them."""
+    n = spectrogram.num_bands
+    fmt = "%.17g" if precision == "full" else f"%.{precision}g"
+    line = "%d," + ",".join([fmt] * n) + "\n"
+    return ("frame," + ",".join(f"p{spectrogram.midi_low + r}"
+                                for r in range(n)) + "\n"
+            + "".join(line % (t, *row.tolist())
+                      for t, row in enumerate(spectrogram.values.T)))
+
+
+def _written(spectrogram, precision):
+    out = io.StringIO()
+    formats.write_feature_csv(out, spectrogram, precision=precision)
+    return out.getvalue()
+
+
+def _loadtxt(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:].T
+
+
+def _csv(tmp_path, text, newline="\n"):
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.replace("\n", newline).encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("precision", [6, "full"])
+class TestWriter:
+    # 85 frames: five blocks of 16 and a ragged last block of 5
+    def test_pooled_output_is_one_percent_per_row(self, pooled, precision):
+        spectrogram = _matrix(85)
+        assert _written(spectrogram, precision) == _per_row(spectrogram,
+                                                            precision)
+
+    def test_in_process_output_is_one_percent_per_row(self, in_process,
+                                                      precision):
+        spectrogram = _matrix(85)
+        assert _written(spectrogram, precision) == _per_row(spectrogram,
+                                                            precision)
+
+
+class TestReader:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("tail", ["", "\n", "\n" * 2000])
+    def test_pooled_rows_equal_one_loadtxt(self, pooled, tmp_path, newline,
+                                           tail):
+        # "" drops the last newline; 2,000 blank lines fill whole blocks
+        text = _per_row(_matrix(85), "full")
+        path = _csv(tmp_path, text[:-1] + tail, newline)
+        values = formats.read_feature_csv(path, 50.0).values
+        assert np.array_equal(values, _loadtxt(path))
+        assert np.array_equal(values, _matrix(85).values)
+
+    def test_in_process_rows_equal_one_loadtxt(self, in_process, tmp_path):
+        path = _csv(tmp_path, _per_row(_matrix(85), 6))
+        assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
+                              _loadtxt(path))
+
+    def test_block_boundary_on_a_row_end(self, pooled, monkeypatch,
+                                         tmp_path):
+        text = _per_row(_matrix(85), "full")
+        header, *rows = text.splitlines(keepends=True)
+        block = len("".join(rows[:3]).encode())
+        monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
+        path = _csv(tmp_path, text)
+        with open(path, "rb") as f:
+            start = len(header)
+            bounds = formats._row_bounds(f, start)
+        # the first block ends exactly where its third row ends
+        assert bounds[:2] == [start, start + block]
+        assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
+                              _loadtxt(path))
+
+
+def _bad_lines(tmp_path, edit, line):
+    """A CSV of 85 frames with ``edit`` applied to file line ``line``."""
+    lines = _per_row(_matrix(85), "full").splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    return _csv(tmp_path, "\n".join(lines) + "\n")
+
+
+def _with_field(value):
+    def edit(row):
+        fields = row.split(",")
+        fields[4] = value
+        return ",".join(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_with_field("abc"), _with_field(""),
+                                  lambda row: row.rsplit(",", 1)[0],
+                                  lambda row: row + ",0.5"],
+                         ids=["word", "empty", "short", "long"])
+@pytest.mark.parametrize("paths", ["pooled", "in_process"])
+def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
+                                                paths):
+    request.getfixturevalue(paths)
+    path = _bad_lines(tmp_path, edit, 80)
+    with pytest.raises(ValueError, match=re.escape(f"{path!r} line 80: ")):
+        formats.read_feature_csv(path, 50.0)
+
+
+def test_block_narrower_than_the_header_names_its_first_line(pooled,
+                                                             tmp_path):
+    # every row of the last blocks is one value short, so those blocks
+    # parse on their own and only their width is wrong
+    text = _per_row(_matrix(85), "full")
+    path = _csv(tmp_path, text)
+    with open(path, "rb") as f:
+        bounds = formats._row_bounds(f, len(text.splitlines()[0]) + 1)
+    head = text.encode()[:bounds[3]]
+    tail = text.encode()[bounds[3]:].decode().splitlines()
+    with open(path, "wb") as f:
+        f.write(head + "".join(row.rsplit(",", 1)[0] + "\n"
+                               for row in tail).encode())
+    line = head.count(b"\n") + 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path!r} line {line}: expected a row of {WIDTH} "
+            f"comma-separated numbers, got {WIDTH - 1} values")):
+        formats.read_feature_csv(path, 50.0)
+
+
+def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks):
+    # a forked child would inherit any lock the other thread holds
+    monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+    monkeypatch.setattr(formats, "_map_on_pool", None)  # fails if called
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        spectrogram = _matrix(85)
+        assert _written(spectrogram, 6) == _per_row(spectrogram, 6)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+class TestNoWorkerOutlivesTheCall:
+    def test_write(self, pooled):
+        _written(_matrix(85), "full")
+        assert multiprocessing.active_children() == []
+
+    def test_write_whose_worker_raises(self, pooled):
+        spectrogram = _matrix(85)
+        spectrogram.values = spectrogram.values.astype(object)
+        spectrogram.values[2, 70] = "not a number"
+        with pytest.raises(TypeError):
+            _written(spectrogram, 6)
+        assert multiprocessing.active_children() == []
+
+    def test_read(self, pooled, tmp_path):
+        formats.read_feature_csv(
+            _csv(tmp_path, _per_row(_matrix(85), 6)), 50.0)
+        assert multiprocessing.active_children() == []
+
+    def test_read_whose_worker_raises(self, pooled, tmp_path):
+        path = _bad_lines(tmp_path, _with_field("abc"), 80)
+        with pytest.raises(ValueError):
+            formats.read_feature_csv(path, 50.0)
+        assert multiprocessing.active_children() == []
