@@ -1,6 +1,7 @@
 """WAV loading into a normalized mono buffer.
 
-Decoding is delegated to scipy's RIFF reader; this module reduces the result
+Decoding is delegated to scipy's ``wavfile`` reader, which ``_scipy`` loads
+on its own, without importing ``scipy.io``; this module reduces the result
 to a float64 mono signal in [-1, 1] regardless of the on-disk sample format.
 """
 
@@ -8,8 +9,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
+from . import _scipy
 from .errors import AudioReadError, EmptyAudioError, UnsupportedAudioError
 
 # Full-scale divisors per integer sample format. 24-bit data arrives from
@@ -40,7 +41,7 @@ def load_wav(path: str) -> AudioBuffer:
     are scaled by their full-scale value; float samples pass through.
     """
     try:
-        sample_rate, data = wavfile.read(path)
+        sample_rate, data = _scipy.wavfile.read(path)
     except FileNotFoundError as exc:
         raise AudioReadError(f"cannot open {path!r}: file not found") from exc
     except ValueError as exc:

@@ -13,9 +13,8 @@ import types
 import typing
 
 import numpy as np
-from scipy.io import wavfile
 
-from . import dp_align, formats, score as score_mod, synth_eval
+from . import _scipy, dp_align, formats, score as score_mod, synth_eval
 from .audio_io import load_wav
 from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      InfeasiblePathError, ScoreError, ScoreSyncError,
@@ -310,8 +309,8 @@ def cmd_synth(args) -> int:
         return _fail(f"synth: {exc}", EXIT_CONFIG)
 
     try:
-        wavfile.write(args.out, audio.sample_rate,
-                      audio.samples.astype(np.float32))
+        _scipy.wavfile.write(args.out, audio.sample_rate,
+                             audio.samples.astype(np.float32))
     except OSError as exc:
         return _fail(f"output: {exc}", EXIT_IO)
     return _write_out(args.truth_out or f"{args.out}.truth.csv",

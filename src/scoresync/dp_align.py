@@ -31,7 +31,8 @@ M x N array left, 8 bytes a cell, built on this default path only; the
 per-band sustained-spectral vectors are as long as the features. Both
 forward windows, the sustained lookahead of every frame and the widened
 window of the cost-to-go bound, are sliding minima (``_forward_min``):
-one O(N) pass each, however wide the window.
+one numpy doubling pass each, O(N log w) for a window of w frames and
+exact, with a window wider than the recording clipped to it.
 
 The path is read off the backpointers, from the cheapest cell of the last
 row (the smallest frame on a tie) down to row 1; the source of row 0 is
@@ -56,8 +57,8 @@ from functools import partial
 from typing import Literal, NamedTuple, get_args
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
+from . import _scipy
 from .errors import (ConfigurationError, EmptyAudioError, InfeasiblePathError,
                      ScoreError, check_finite)
 from .features import FeaturePair
@@ -201,12 +202,12 @@ _PAIR_CHUNK = 1 << 15
 
 def _forward_min(values: np.ndarray, width: int, pad: float) -> np.ndarray:
     """min of ``values[j + 1 .. j + width]`` per frame j, reading ``pad``
-    past the last frame, in one O(N) sliding-minimum pass."""
+    past the last frame, in one sliding-minimum pass
+    (``_scipy.forward_extremum``)."""
     # nxt[j] belongs to frame j + 1, so the window [j, j + width) of nxt
     # is the window [j + 1, j + width] of the frames
     nxt = np.append(values[1:], pad)
-    return minimum_filter1d(nxt, width, mode="constant", cval=pad,
-                            origin=-(width // 2))
+    return _scipy.forward_extremum(np.minimum, nxt, width, pad)
 
 
 def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray:
@@ -275,7 +276,7 @@ def align(score: ScoreSequence, features: FeaturePair,
     ]
     # once per distinct band row, however many chords share it
     sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
-                 for r in np.unique(np.concatenate(chord_rows))}
+                 for r in set(np.concatenate(chord_rows).tolist())}
 
     def weighted_costs(target, start=0, stop=n):
         con, csp = _chord_cost_vectors(onsets_values, sustained,

@@ -24,14 +24,16 @@ are 216, 108 and then 64 for the lowest 64 bands at 44.1 and 22.05 kHz
 7,984 filtered samples per frame (7,972 at 11.025 kHz), where one
 full-rate pass per band would filter 88 hops: 77,616 samples at 44.1 kHz,
 38,808 at 22.05 kHz and 19,360 at 11.025 kHz. Each group's signal is the
-previous group's resampled by ``scipy.signal.resample_poly`` with the two
-hops in lowest terms (a zero-phase FIR, so onsets do not move); a group
-whose hop does not fall reuses the previous signal. Each group is
-designed at its own rate.
+previous group's resampled as ``scipy.signal.resample_poly`` resamples it
+with the two hops in lowest terms (a zero-phase FIR, so onsets do not
+move); a group whose hop does not fall reuses the previous signal. Each
+group is designed at its own rate. The resampling and the band filters
+run scipy's own polyphase and ``lfilter`` kernels, reached through
+``_scipy`` without importing ``scipy.signal``.
 
 The distinct hops form a resample cascade, the input its first level
-(``_resample_levels``, which designs each level's FIR once), and the
-recording streams through it ``_BLOCK_HOPS`` input hops at a time
+(``_resample_levels``, which designs and lays out each level's FIR once),
+and the recording streams through it ``_BLOCK_HOPS`` input hops at a time
 (``_block_signals``): each level's window of a block is resampled from a
 window of the level above that reaches as far as ``resample_poly``'s
 filter does, so it equals that slice of the whole-signal resample. Each
@@ -42,16 +44,17 @@ over the whole group signal, and reduces it to per-hop maxima
 hops, so the per-hop maxima of all bands form one band x hop matrix, and
 frame t is the maximum of hops t .. t + window_factor - 1 of that matrix
 (``_frame_maxima``), truncated at the end of the signal: one
-sliding-maximum pass in place, however wide the window.
+sliding-maximum pass per band in place (``_scipy.forward_extremum``),
+O(hops log window) however wide the window.
 
 A block's band groups are filtered on one thread per available core, one
 pool task per group, and one of those threads resamples the next block.
-scipy's ``lfilter`` releases the interpreter lock while it filters, so the
-groups filter in parallel. A task per group (8 for the 88 keys) rather
-than per band keeps the pool's own cost per block small. Beyond the input
-samples and the output matrix, the front end holds the cascade's windows
-of two blocks, one block of filtered samples per thread and one block of
-per-hop maxima, however long the recording is.
+scipy's ``lfilter`` kernel releases the interpreter lock while it filters,
+so the groups filter in parallel. A task per group (8 for the 88 keys)
+rather than per band keeps the pool's own cost per block small. Beyond
+the input samples and the output matrix, the front end holds the
+cascade's windows of two blocks, one block of filtered samples per thread
+and one block of per-hop maxima, however long the recording is.
 
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
@@ -61,12 +64,12 @@ so sample rates that do not divide evenly stay exact.
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
-from scipy.ndimage import maximum_filter1d
 
+from . import _scipy
 from .audio_io import AudioBuffer
 from .errors import ConfigurationError, EmptyAudioError, check_finite
 
@@ -74,8 +77,8 @@ from .errors import ConfigurationError, EmptyAudioError, check_finite
 # enough that two blocks of group signals and a block of filtered samples
 # per thread take no more memory than the whole-signal groups of a 36 s
 # recording, large enough that the per-block costs stay small: a pool task
-# per band group, a resample_poly call per cascade level and an lfilter
-# call per band
+# per band group, a polyphase kernel call per cascade level and an lfilter
+# kernel call per band
 _BLOCK_HOPS = 384
 # lowest rate of a band group, in multiples of its top band's upper edge:
 # the edge then sits at no more than 0.8 of the group's Nyquist frequency,
@@ -260,16 +263,16 @@ def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
     the window truncated at the end of the signal, where ``tail`` (one
     column or none) holds the partial hop after the whole ones.
 
-    One O(hops) sliding-maximum pass per band, however wide the window;
-    a window wider than the hops reads nothing more. The pass overwrites
-    ``hop_maxima`` (as scipy's own separable filters chain their 1-D
-    passes) and returns it, so framing allocates nothing of the
-    recording's length.
+    One O(hops log window) sliding-maximum pass per band, nothing to do
+    for a window of one hop; a window wider than the hops reads nothing
+    more. The pass overwrites ``hop_maxima`` row by row and returns it, so
+    framing allocates no more than one row and its window at a time.
     """
     num_frames = hop_maxima.shape[-1]
-    w = min(window_factor, num_frames)
-    maximum_filter1d(hop_maxima, w, axis=-1, output=hop_maxima,
-                     mode="constant", cval=-np.inf, origin=-(w // 2))
+    if window_factor > 1:
+        for row in np.atleast_2d(hop_maxima):
+            _scipy.forward_extremum(np.maximum, row, window_factor, -np.inf,
+                                    out=row)
     if tail.size:
         # the frames whose window reaches past the last whole hop
         last = hop_maxima[..., max(0, num_frames - window_factor + 1):]
@@ -308,28 +311,27 @@ def _band_groups(config: FilterbankConfig, hop: int,
     return groups
 
 
-def _resample_levels(hops: list[int]
-                     ) -> list[tuple[int, int, int, np.ndarray | None]]:
-    """``(hop, up, down, fir)`` of each level of the resample cascade,
-    given its hops in falling order: level 0 is the input (no ``fir``),
-    and level k is level k - 1 resampled by ``up / down = hops[k] /
-    hops[k - 1]`` in lowest terms through ``fir``.
+def _resample_levels(hops: list[int]) -> list[tuple]:
+    """``(hop, up, down, resample)`` of each level of the resample cascade,
+    given its hops in falling order: level 0 is the input (no
+    ``resample``), and level k is level k - 1 resampled by ``up / down =
+    hops[k] / hops[k - 1]`` in lowest terms through ``resample``, which
+    equals ``scipy.signal.resample_poly(x, up, down)``.
 
-    ``fir`` is the lowpass ``resample_poly`` designs for ``up / down``
+    The lowpass is the one ``resample_poly`` designs for ``up / down``
     with its default window (cutoff ``1 / max(up, down)`` of Nyquist,
     ``10 * max(up, down)`` taps each side of the center, Kaiser beta 5),
-    designed once here and passed as its ``window``. ``resample_poly``
-    copies an array ``window`` and scales it by ``up`` exactly as it does
-    its own design, so the resampled samples are the same, without a
-    design in every block.
+    designed once here by ``_scipy.firwin_kaiser``, and
+    ``_scipy.resampler`` scales, pads and transposes it once, so a block
+    costs one polyphase kernel call per level.
     """
     levels = [(hops[0], 1, 1, None)]
     for parent, hop in zip(hops, hops[1:]):
         g = math.gcd(hop, parent)
         up, down = hop // g, parent // g
-        fir = signal.firwin(20 * max(up, down) + 1, 1.0 / max(up, down),
-                            window=("kaiser", 5.0))
-        levels.append((hop, up, down, fir))
+        fir = _scipy.firwin_kaiser(20 * max(up, down) + 1,
+                                   1.0 / max(up, down), 5.0)
+        levels.append((hop, up, down, _scipy.resampler(fir, up, down)))
     return levels
 
 
@@ -345,11 +347,10 @@ def _block_signals(samples: np.ndarray, levels: list[tuple],
     2 for rounding), its start rounded down to a multiple of ``down`` so
     that each resampled sample meets the same filter phase as in the whole
     signal. Then each level is resampled from its parent's window, top
-    down, by one ``resample_poly`` call with the level's ``fir``, as the
-    whole-signal call designs it: its kept samples read nothing past the
-    window's ends but the zeros the whole-signal call reads past the ends
-    of the signal. Windows running past the end of a signal are clipped by
-    the slicing.
+    down, by the level's ``resample``, whose filter is the whole-signal
+    call's: its kept samples read nothing past the window's ends but the
+    zeros the whole-signal call reads past the ends of the signal. Windows
+    running past the end of a signal are clipped by the slicing.
     """
     plan = []
     start, stop = math.inf, 0  # the bottom level feeds no level
@@ -364,11 +365,9 @@ def _block_signals(samples: np.ndarray, levels: list[tuple],
 
     start, stop, _ = plan[0]
     signals = [samples[start:stop]]
-    for (_, up, down, fir), (start, stop, (lo, hi)), (parent_start, _, _) \
-            in zip(levels[1:], plan[1:], plan):
-        x = signal.resample_poly(
-            signals[-1][lo - parent_start:hi - parent_start], up, down,
-            window=fir)
+    for (_, up, down, resample), (start, stop, (lo, hi)), \
+            (parent_start, _, _) in zip(levels[1:], plan[1:], plan):
+        x = resample(signals[-1][lo - parent_start:hi - parent_start])
         offset = lo // down * up  # x[0] is this level's sample offset
         signals.append(x[start - offset:stop - offset])
     return [x[t0 * hop - start:t1 * hop - start]
@@ -385,7 +384,7 @@ def _filter_group(bank: list[tuple[np.ndarray, np.ndarray]],
     starts = np.arange(0, len(samples), hop)
     following = []
     for (b, a), zi, row in zip(bank, states, out):
-        y, zi = signal.lfilter(b, a, samples, zi=zi)
+        y, zi = _scipy.lfilter(b, a, samples, zi)
         np.maximum.reduceat(np.abs(y, out=y), starts, out=row)
         following.append(zi)
     return following
@@ -414,8 +413,6 @@ def compute_spectrogram(audio: AudioBuffer,
     this takes beyond the input samples and the output matrix does not
     grow with the recording.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     samples = np.asarray(audio.samples, dtype=np.float64)
     ratio = audio.sample_rate / config.frame_rate
     # clipped before round(), which cannot take the inf a tiny frame rate

@@ -1,0 +1,272 @@
+"""scipy's kernels reached without the scipy.signal/ndimage/io packages
+(``scoresync._scipy``) against their public counterparts, the fallback to
+those counterparts, and the imports a command leaves behind."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import types
+
+import numpy as np
+import pytest
+from scipy import signal, special
+from scipy.io import wavfile
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+import scoresync
+from scoresync import (FilterbankConfig, _scipy, cli, compute_spectrogram,
+                       design_filterbank, filterbank, load_wav)
+
+SAMPLE_RATES = [8000, 11025, 16000, 22050, 44100, 48000, 96000]
+
+
+def cascade_levels(sample_rate, frame_rate):
+    """The resample cascade ``compute_spectrogram`` builds at this rate."""
+    config = FilterbankConfig(frame_rate=frame_rate)
+    hop = int(round(sample_rate / frame_rate))
+    groups = filterbank._band_groups(config, hop, sample_rate / hop)
+    hops = sorted({hop, *(group_hop for _, group_hop in groups)},
+                  reverse=True)
+    return filterbank._resample_levels(hops)
+
+
+class TestLfilter:
+    @pytest.mark.parametrize("sample_rate", [11025, 44100])
+    def test_output_and_state_equal_lfilter_across_block_edges(
+            self, sample_rate):
+        rng = np.random.default_rng(sample_rate)
+        x = rng.uniform(-1, 1, 5000)
+        edges = [0, 1, 2, 300, 301, 2048, 4999, 5000]
+        for b, a in design_filterbank(FilterbankConfig(), sample_rate)[::7]:
+            zi = zi_public = rng.normal(size=2)
+            for lo, hi in zip(edges, edges[1:]):
+                y, zi = _scipy.lfilter(b, a, x[lo:hi], zi)
+                expected, zi_public = signal.lfilter(b, a, x[lo:hi],
+                                                     zi=zi_public)
+                assert np.array_equal(y, expected)
+                assert np.array_equal(zi, zi_public)
+
+
+class TestResampler:
+    @pytest.mark.parametrize("frame_rate", [50.0, 100.0])
+    @pytest.mark.parametrize("sample_rate", SAMPLE_RATES)
+    def test_every_cascade_level_equals_resample_poly(self, sample_rate,
+                                                      frame_rate):
+        rng = np.random.default_rng(sample_rate)
+        levels = cascade_levels(sample_rate, frame_rate)
+        assert len(levels) > 1
+        for _, up, down, resample in levels[1:]:
+            fir = signal.firwin(20 * max(up, down) + 1, 1.0 / max(up, down),
+                                window=("kaiser", 5.0))
+            for n in (1, 2, 3, down - 1, down, down + 1, 1000, 5003):
+                x = rng.uniform(-1, 1, max(n, 1))
+                expected = signal.resample_poly(x, up, down, window=fir)
+                assert np.array_equal(resample(x), expected), (up, down, n)
+
+    def test_levels_equal_the_default_design(self):
+        # resample_poly's own design, not one passed as its window
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 4000)
+        for _, up, down, resample in cascade_levels(11025, 50.0)[1:]:
+            assert np.array_equal(resample(x),
+                                  signal.resample_poly(x, up, down))
+
+
+class TestFirDesign:
+    def test_every_coprime_ratio_up_to_79_equals_firwin(self):
+        checked = 0
+        for up in range(1, 80):
+            for down in range(1, 80):
+                if math.gcd(up, down) != 1 or up == down:
+                    continue
+                taps, cutoff = 20 * max(up, down) + 1, 1.0 / max(up, down)
+                assert np.array_equal(
+                    _scipy.firwin_kaiser(taps, cutoff, 5.0),
+                    signal.firwin(taps, cutoff, window=("kaiser", 5.0))), \
+                    (up, down)
+                checked += 1
+        assert checked == 3866
+
+
+class TestI0:
+    def test_equals_scipy_special_on_both_branches(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.uniform(0.0, 8.0, 110_000), rng.uniform(8.0, 700.0, 110_000),
+            [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 5.0]])
+        x[::2] *= -1  # i0 is even
+        assert np.array_equal(_scipy.i0(x), special.i0(x))
+
+    def test_boundary_and_scalar(self):
+        assert _scipy.i0(8.0) == special.i0(8.0)
+        assert _scipy.i0(5.0) == special.i0(5.0)
+        assert _scipy.i0(np.array([[1.0, 9.0]])).shape == (1, 2)
+
+
+class TestForwardExtremum:
+    @pytest.mark.parametrize("ufunc, oracle", [
+        (np.minimum, minimum_filter1d), (np.maximum, maximum_filter1d)])
+    def test_equals_ndimage_on_random_rows(self, ufunc, oracle):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            n = int(rng.integers(1, 200))
+            width = int(rng.integers(1, 2 * n + 5))  # often past the length
+            x = rng.normal(size=n)
+            x[rng.random(n) < 0.1] = np.inf
+            x[rng.random(n) < 0.05] = -np.inf
+            pad = float(rng.choice([np.inf, -np.inf, 0.0, x[-1]]))
+            expected = oracle(x, width, mode="constant", cval=pad,
+                              origin=-(width // 2))
+            assert np.array_equal(
+                _scipy.forward_extremum(ufunc, x, width, pad), expected), \
+                (n, width, pad)
+
+    def test_in_place(self):
+        x = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0])
+        out = _scipy.forward_extremum(np.maximum, x, 3, -np.inf, out=x)
+        assert out is x
+        assert x.tolist() == [4.0, 4.0, 5.0, 9.0, 9.0, 9.0, 2.0]
+
+
+def _run_cli(argv, path):
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+class TestFallback:
+    """A private kernel that cannot be loaded, or that gives wrong values,
+    leaves the public ``scipy.signal`` and ``scipy.io`` functions bound,
+    with the same outputs."""
+
+    @staticmethod
+    def spy_public(monkeypatch):
+        calls = []
+        for name in ("lfilter", "resample_poly"):
+            public = getattr(signal, name)
+
+            def spy(*args, _public=public, _name=name, **kwargs):
+                calls.append(_name)
+                return _public(*args, **kwargs)
+            monkeypatch.setattr(signal, name, spy)
+        return calls
+
+    @staticmethod
+    def fail_load(subpackage, name, suffixes):
+        raise ImportError(f"no {name}")
+
+    @staticmethod
+    def broken_kernels(part):
+        """``_load`` giving the loaded modules, ``part`` of the kernels
+        broken."""
+        loaded = {name: sys.modules[f"scoresync._{name.lstrip('_')}"]
+                  for name in ("_sigtools", "_upfirdn_apply", "wavfile")}
+        if part == "lfilter":
+            # passes the input through unfiltered
+            loaded["_sigtools"] = types.SimpleNamespace(
+                _linear_filter=lambda b, a, x, axis, zi: (x.copy(), zi))
+        else:
+            # leaves the output zero
+            upfirdn = loaded["_upfirdn_apply"]
+            loaded["_upfirdn_apply"] = types.SimpleNamespace(
+                _apply=lambda *args: None, _output_len=upfirdn._output_len,
+                mode_enum=upfirdn.mode_enum)
+        return lambda subpackage, name, suffixes: loaded[name]
+
+    def bind(self, monkeypatch, load):
+        """Bind the module's functions again with ``_load`` patched, and
+        return the WAV module bound."""
+        with monkeypatch.context() as patched:
+            patched.setattr(_scipy, "_load", load)
+            lfilter, resampler = _scipy._bind_filters()
+            wavfile_module = _scipy._bind_wavfile()
+        monkeypatch.setattr(_scipy, "lfilter", lfilter)
+        monkeypatch.setattr(_scipy, "resampler", resampler)
+        monkeypatch.setattr(_scipy, "wavfile", wavfile_module)
+        return wavfile_module
+
+    @staticmethod
+    def outputs(tmp_path, tag):
+        """Spectrogram and CLI output bytes of a short 44.1 kHz piece, whose
+        bands run on every level of the cascade."""
+        score = tmp_path / "score.json"
+        score.write_text(json.dumps(
+            [{"beat": b, "pitches": [48 + 5 * b % 40, 67]}
+             for b in range(12)]))
+        wav = tmp_path / f"{tag}.wav"
+        synth = _run_cli(["synth", "--score", str(score), "--tempo", "0:120",
+                          "--noise-level", "0.01", "--seed", "3",
+                          "--sample-rate", "44100"], wav)
+        spectrogram = compute_spectrogram(load_wav(str(wav))).values
+        dump = tmp_path / f"{tag}.csv"
+        features = _run_cli(["features", "--audio", str(wav), "--feature",
+                             "raw", "--precision", "full"], dump)
+        aligned = _run_cli(["align", "--audio", str(wav), "--score",
+                            str(score)], tmp_path / f"{tag}.align.csv")
+        from_dump = _run_cli(["align", "--features", str(dump), "--score",
+                              str(score), "--frame-rate", "50.0"],
+                             tmp_path / f"{tag}.dump.align.csv")
+        return spectrogram, [synth, features, aligned, from_dump]
+
+    @pytest.mark.parametrize("load", ["missing", "lfilter", "upfirdn"])
+    def test_gives_the_public_path_and_the_same_outputs(
+            self, monkeypatch, tmp_path, load):
+        spectrogram, outputs = self.outputs(tmp_path, "private")
+        wavfile_module = self.bind(
+            monkeypatch, self.fail_load if load == "missing"
+            else self.broken_kernels(load))
+        assert (wavfile_module is wavfile) == (load == "missing")
+        calls = self.spy_public(monkeypatch)
+        fallback_spectrogram, fallback_outputs = self.outputs(tmp_path,
+                                                              "public")
+        assert {"lfilter", "resample_poly"} <= set(calls)
+        assert np.array_equal(fallback_spectrogram, spectrogram)
+        assert fallback_outputs == outputs
+
+    def test_private_kernels_bound_here(self):
+        # the installed scipy passes the check, so its kernels are used
+        assert _scipy.lfilter.__qualname__.startswith("_private_filters")
+        assert _scipy.resampler.__qualname__.startswith("_private_filters")
+        assert _scipy.wavfile.__name__ == "scoresync._wavfile"
+
+
+_IMPORT_GUARD = """
+import json, os, sys
+heavy = ["scipy.signal", "scipy.ndimage", "scipy.io", "scipy.special",
+         "scipy.stats", "numpy.ma"]
+from scoresync import cli
+seen = {"import": [m for m in heavy if m in sys.modules]}
+work = sys.argv[1]
+score = os.path.join(work, "score.json")
+with open(score, "w") as f:
+    json.dump([{"beat": b, "pitches": [60 + b % 5, 67]} for b in range(8)], f)
+wav, dump = os.path.join(work, "piece.wav"), os.path.join(work, "d.csv")
+runs = [
+    ["synth", "--score", score, "--tempo", "0:120", "--seed", "1",
+     "--sample-rate", "44100", "--out", wav],
+    ["align", "--audio", wav, "--score", score,
+     "--out", os.path.join(work, "a.csv")],
+    ["features", "--audio", wav, "--feature", "raw", "--precision", "full",
+     "--out", dump],
+    ["align", "--features", dump, "--score", score, "--frame-rate", "50.0",
+     "--out", os.path.join(work, "b.csv")],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    seen[argv[0] + " " + argv[1]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_no_heavy_scipy_package(tmp_path):
+    src = os.path.dirname(os.path.dirname(scoresync.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert len(seen) == 5
+    assert seen == {stage: [] for stage in seen}
