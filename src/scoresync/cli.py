@@ -113,6 +113,19 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
                      f"(expected .mid, .midi, or .json)")
 
 
+def _score_bands(score: score_mod.ScoreSequence,
+                 config: FilterbankConfig) -> range | None:
+    """The bands ``align`` reads for ``score``: its register and one band
+    either side, which the onset feature's three-band maximum reads, within
+    the bank. None when a score pitch has no band, so the whole bank is
+    filtered and the DP reports that pitch."""
+    pitches = [p for onset in score.onsets for p in onset.pitches]
+    low, top = config.midi_low, config.midi_low + config.num_bands - 1
+    if not low <= min(pitches) <= max(pitches) <= top:
+        return None
+    return range(max(low, min(pitches) - 1), min(top, max(pitches) + 1) + 1)
+
+
 def _fail(message: str, code: int) -> int:
     print(f"scoresync: {message}", file=sys.stderr)
     return code
@@ -236,7 +249,8 @@ def cmd_align(args) -> int:
 
     try:
         if args.audio is not None:
-            raw = compute_spectrogram(load_wav(args.audio), config)
+            raw = compute_spectrogram(load_wav(args.audio), config,
+                                      pitches=_score_bands(score, config))
         else:
             raw = formats.read_feature_csv(args.features, config.frame_rate)
     except _AUDIO_ERRORS as exc:

@@ -8,7 +8,7 @@ is the framed signal itself. Both are normalized to a maximum of one per
 band, so downstream costs live on a fixed [0, 1] scale.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,15 +33,41 @@ class FeaturePair:
         return self.onsets.frame_rate
 
 
-def _band_maxima(m: Spectrogram) -> np.ndarray:
+def _band_maxima(values: np.ndarray, midi_low: int) -> np.ndarray:
     """Maximum of each band over time; ValueError naming the pitch of the
     first band whose maximum is NaN or +inf."""
-    row_max = m.values.max(axis=1)
+    row_max = values.max(axis=1)
     bad = np.flatnonzero(~np.isfinite(row_max))
     if len(bad):
-        raise ValueError(f"band of MIDI pitch {m.midi_low + bad[0]} "
+        raise ValueError(f"band of MIDI pitch {midi_low + bad[0]} "
                          f"holds a non-finite value")
     return row_max
+
+
+def _scale_bins(values: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """Divide each band of ``values`` by its maximum ``row_max`` in place,
+    zeroing the silent bands, and return ``values``."""
+    live = row_max > SILENT_BIN_EPS
+    np.divide(values, row_max[:, np.newaxis], out=values,
+              where=live[:, np.newaxis])
+    values[~live] = 0.0
+    return values
+
+
+def _onsets(v: np.ndarray, lag: int, midi_low: int,
+            maxfilt: np.ndarray) -> np.ndarray:
+    """Normalized onset matrix of ``v``: ``v`` minus its band max filter
+    ``lag`` frames earlier, clamped at zero, the max filter built in the
+    work matrix ``maxfilt`` (of ``v``'s shape)."""
+    np.maximum(v[:-1], v[1:], out=maxfilt[:-1])
+    maxfilt[-1:] = v[-1:]
+    np.maximum(maxfilt[1:], v[:-1], out=maxfilt[1:])
+    onset = np.zeros_like(v)
+    if v.shape[1] > lag:
+        flux = onset[:, lag:]
+        np.subtract(v[:, lag:], maxfilt[:, :-lag], out=flux)
+        np.maximum(flux, 0.0, out=flux)
+    return _scale_bins(onset, _band_maxima(onset, midi_low))
 
 
 def normalize_bins(m: Spectrogram) -> Spectrogram:
@@ -51,13 +77,8 @@ def normalize_bins(m: Spectrogram) -> Spectrogram:
     (never divided, so silence cannot produce NaN or amplified noise). A
     band holding NaN or +inf raises ValueError naming its pitch.
     """
-    values = m.values.copy()
-    row_max = _band_maxima(m)
-    live = row_max > SILENT_BIN_EPS
-    values[live] /= row_max[live, np.newaxis]
-    values[~live] = 0.0
-    return Spectrogram(values=values, frame_rate=m.frame_rate,
-                       midi_low=m.midi_low)
+    return replace(m, values=_scale_bins(
+        m.values.copy(), _band_maxima(m.values, m.midi_low)))
 
 
 def superflux_onsets(raw: Spectrogram, lag: int = 1) -> Spectrogram:
@@ -69,24 +90,27 @@ def superflux_onsets(raw: Spectrogram, lag: int = 1) -> Spectrogram:
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    v = raw.values
-    maxfilt = v.copy()
-    maxfilt[:-1] = np.maximum(maxfilt[:-1], v[1:])
-    maxfilt[1:] = np.maximum(maxfilt[1:], v[:-1])
-
-    onset = np.zeros_like(v)
-    if v.shape[1] > lag:
-        onset[:, lag:] = np.maximum(v[:, lag:] - maxfilt[:, :-lag], 0.0)
-    return normalize_bins(Spectrogram(values=onset, frame_rate=raw.frame_rate,
-                                      midi_low=raw.midi_low))
+    return replace(raw, values=_onsets(raw.values, lag, raw.midi_low,
+                                       np.empty_like(raw.values)))
 
 
 def extract_features(raw: Spectrogram) -> FeaturePair:
     """Build the normalized onset/spectral feature pair from a raw spectrogram.
 
     The raw bands are checked first, so a NaN or +inf raw band is named
-    itself, not a neighbor that the onset max filter spread it to.
+    itself, not a neighbor that the onset max filter spread it to. Only
+    the rows of ``raw`` are checked: a spectrogram of some bands (as
+    ``align --audio`` computes) says nothing of the bands left out.
+
+    The values equal ``superflux_onsets(raw)`` and ``normalize_bins(raw)``,
+    but the onsets' max filter is built in the spectral matrix before it
+    takes its copy of ``raw``, and both are scaled in place, so the pair
+    takes twice the memory of ``raw`` at its peak.
     """
-    _band_maxima(raw)
-    return FeaturePair(onsets=superflux_onsets(raw),
-                       spec=normalize_bins(raw))
+    row_max = _band_maxima(raw.values, raw.midi_low)
+    spec = np.empty_like(raw.values)
+    onset = _onsets(raw.values, 1, raw.midi_low, maxfilt=spec)
+    np.copyto(spec, raw.values)
+    _scale_bins(spec, row_max)
+    return FeaturePair(onsets=replace(raw, values=onset),
+                       spec=replace(raw, values=spec))

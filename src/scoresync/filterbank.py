@@ -56,6 +56,16 @@ the input samples and the output matrix, the front end holds the
 cascade's windows of two blocks, one block of filtered samples per thread
 and one block of per-hop maxima, however long the recording is.
 
+A caller that reads only some bands passes ``compute_spectrogram`` their
+``pitches``: the plan and the design stay those of the whole bank, but
+only the groups holding those bands are filtered, and the cascade stops
+at the level of the lowest of them, so each row equals the whole bank's.
+``align --audio`` keeps the score's register and one band either side
+(the onset feature's three-band maximum reads them): for a score of MIDI
+36-96 at 50 frames per second and 22.05 or 44.1 kHz, that is 63 bands
+and 4,712 filtered samples per frame instead of 7,984. ``features``
+still filters every band.
+
 The hop is ``round(sample_rate / frame_rate)``, and a frame rate that
 makes it 0 (above twice the sample rate) is a ConfigurationError. All
 frame/seconds conversions use the effective rate ``sample_rate / hop``,
@@ -390,9 +400,26 @@ def _filter_group(bank: list[tuple[np.ndarray, np.ndarray]],
     return following
 
 
+def _pitch_rows(config: FilterbankConfig, pitches: range | None) -> range:
+    """Rows of the full bank that hold ``pitches`` (all rows for None); a
+    ConfigurationError unless ``pitches`` is a non-empty range of step 1
+    inside the bank."""
+    low, top = config.midi_low, config.midi_low + config.num_bands - 1
+    if pitches is None:
+        return range(config.num_bands)
+    if not isinstance(pitches, range) or pitches.step != 1 or not pitches:
+        raise ConfigurationError(
+            f"pitches must be a non-empty range of step 1, got {pitches!r}")
+    if pitches.start < low or pitches[-1] > top:
+        raise ConfigurationError(
+            f"pitches {pitches.start}..{pitches[-1]} outside filterbank "
+            f"range {low}..{top}")
+    return range(pitches.start - low, pitches.stop - low)
+
+
 def compute_spectrogram(audio: AudioBuffer,
-                        config: FilterbankConfig = DEFAULT_CONFIG
-                        ) -> Spectrogram:
+                        config: FilterbankConfig = DEFAULT_CONFIG, *,
+                        pitches: range | None = None) -> Spectrogram:
     """Filter the signal through the bank and frame it by window maxima.
 
     The bands run in the groups of ``_band_groups``: each group's bands
@@ -404,6 +431,15 @@ def compute_spectrogram(audio: AudioBuffer,
     maximum of |filtered| over its window. Window width is
     ``window_factor`` hops (default: non-overlapping windows).
 
+    ``pitches``, a range of step 1 inside the bank, keeps only those rows
+    (``midi_low`` is then ``pitches.start``), each equal to its row of the
+    full bank: the plan is the full bank's and every band is still
+    designed, so a band at or above Nyquist is an error either way, but
+    only the bands in ``pitches`` are filtered, and no cascade level below
+    the lowest group that holds one is resampled. ``align --audio`` passes
+    the score's register and one band either side, which the onset
+    feature's three-band maximum reads; ``features`` filters every band.
+
     The signal streams through the cascade ``_BLOCK_HOPS`` input hops at
     a time (``_block_signals``), each band's lfilter state carried from
     block to block, so the values equal those of one resample and one
@@ -413,6 +449,7 @@ def compute_spectrogram(audio: AudioBuffer,
     this takes beyond the input samples and the output matrix does not
     grow with the recording.
     """
+    rows = _pitch_rows(config, pitches)
     samples = np.asarray(audio.samples, dtype=np.float64)
     ratio = audio.sample_rate / config.frame_rate
     # clipped before round(), which cannot take the inf a tiny frame rate
@@ -432,18 +469,31 @@ def compute_spectrogram(audio: AudioBuffer,
     groups = _band_groups(config, hop, frame_rate)
     hops = sorted({hop, *(group_hop for _, group_hop in groups)},
                   reverse=True)
-    levels = _resample_levels(hops)
-    banks = [design_filterbank(
-        replace(config, midi_low=config.midi_low + rows[0],
-                num_bands=len(rows)),
-        audio.sample_rate * group_hop / hop) for rows, group_hop in groups]
-    group_levels = [hops.index(group_hop) for _, group_hop in groups]
-    group_hops = [group_hop for _, group_hop in groups]
+    # the bands of each group that holds any of rows, their slice of the
+    # output and the group's hop; every group is designed, so a band at or
+    # above Nyquist is an error whichever rows are kept
+    kept = []
+    for group_rows, group_hop in groups:
+        bank = design_filterbank(
+            replace(config, midi_low=config.midi_low + group_rows[0],
+                    num_bands=len(group_rows)),
+            audio.sample_rate * group_hop / hop)
+        start = max(group_rows.start, rows.start)
+        stop = min(group_rows.stop, rows.stop)
+        if start < stop:
+            kept.append((bank[start - group_rows.start:
+                              stop - group_rows.start],
+                         slice(start - rows.start, stop - rows.start),
+                         group_hop))
+    banks, out_rows, group_hops = zip(*kept)
+    # the cascade down to the level of the lowest kept group
+    levels = _resample_levels(hops[:hops.index(group_hops[-1]) + 1])
+    group_levels = [hops.index(group_hop) for group_hop in group_hops]
 
     num_hops = -(-len(samples) // hop)
-    hop_maxima = np.empty((config.num_bands, num_frames))
-    states = [[np.zeros(2)] * len(rows) for rows, _ in groups]
-    with ThreadPoolExecutor(_num_workers(len(groups))) as pool:
+    hop_maxima = np.empty((len(rows), num_frames))
+    states = [[np.zeros(2)] * len(bank) for bank in banks]
+    with ThreadPoolExecutor(_num_workers(len(banks))) as pool:
         following = pool.submit(_block_signals, samples, levels, 0,
                                 _BLOCK_HOPS)
         for t0 in range(0, num_hops, _BLOCK_HOPS):
@@ -454,13 +504,12 @@ def compute_spectrogram(audio: AudioBuffer,
                 # resamples while the others filter
                 following = pool.submit(_block_signals, samples, levels, t1,
                                         t1 + _BLOCK_HOPS)
-            block = np.empty((config.num_bands, t1 - t0))
+            block = np.empty((len(rows), t1 - t0))
             # list() waits for the block and re-raises an exception from
             # a worker
             states = list(pool.map(
                 _filter_group, banks, [signals[k] for k in group_levels],
-                group_hops, states,
-                [block[rows.start:rows.stop] for rows, _ in groups]))
+                group_hops, states, [block[out] for out in out_rows]))
             hop_maxima[:, t0:t1] = block[:, :num_frames - t0]
     # the last block's column past the whole hops, if any, is the
     # partial last hop
@@ -468,4 +517,4 @@ def compute_spectrogram(audio: AudioBuffer,
                            config.window_factor)
 
     return Spectrogram(values=values, frame_rate=frame_rate,
-                       midi_low=config.midi_low)
+                       midi_low=config.midi_low + rows.start)

@@ -68,7 +68,7 @@ def beat_to_seconds(beat: float, tempo_map: TempoMap) -> float:
 
 def synthesize(score: ScoreSequence, tempo_map: TempoMap,
                sample_rate: int = 22050, noise_level: float = 0.0,
-               rng: np.random.Generator | None = None
+               rng: "np.random.Generator | None" = None
                ) -> tuple[AudioBuffer, list[float]]:
     """Render a score under a tempo map; returns audio plus the true onset
     times in seconds.

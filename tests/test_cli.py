@@ -334,6 +334,89 @@ class TestAlign:
         assert excinfo.value.code == 2
 
 
+class TestAlignScoreBands:
+    """``align --audio`` filters only the score's register and one band
+    either side, with the bytes of a run on the whole bank."""
+
+    @pytest.fixture
+    def register_piece(self, tmp_path):
+        # chords over MIDI 60-72
+        score = tmp_path / "register.json"
+        score.write_text(json.dumps(
+            [{"beat": float(i), "pitches": sorted({60 + 5 * i % 13, 72})}
+             for i in range(8)]))
+        wav = tmp_path / "register.wav"
+        assert main(["synth", "--score", str(score), "--tempo", "0:120",
+                     "--noise-level", "0.01", "--seed", "5",
+                     "--out", str(wav)]) == 0
+        return str(wav), str(score)
+
+    @staticmethod
+    def spy_pitches(monkeypatch, full_bank=False):
+        """Record the ``pitches`` each ``compute_spectrogram`` call gets;
+        with ``full_bank``, filter the whole bank whatever it gets."""
+        calls = []
+        compute_spectrogram = cli.compute_spectrogram
+
+        def spy(audio, config, *, pitches=None):
+            calls.append(pitches)
+            return compute_spectrogram(
+                audio, config, pitches=None if full_bank else pitches)
+        monkeypatch.setattr(cli, "compute_spectrogram", spy)
+        return calls
+
+    def test_filters_the_score_register_and_a_band_either_side(
+            self, register_piece, monkeypatch, tmp_path):
+        wav, score = register_piece
+        calls = self.spy_pitches(monkeypatch)
+        assert main(["align", "--audio", wav, "--score", score,
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        assert calls == [range(59, 74)]
+
+    @pytest.mark.parametrize("flags", [[], ["--reset-threshold", "2.0"]])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_as_the_whole_bank(self, register_piece, monkeypatch,
+                                          tmp_path, fmt, flags):
+        wav, score = register_piece
+        outputs = []
+        for full_bank in (False, True):
+            with monkeypatch.context() as patched:
+                calls = self.spy_pitches(patched, full_bank)
+                out = tmp_path / f"{full_bank}.{fmt}"
+                assert main(["align", "--audio", wav, "--score", score,
+                             "--format", fmt, "--out", str(out),
+                             *flags]) == 0
+                assert calls == [range(59, 74)]
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("pitch", [20, 109])
+    def test_pitch_outside_the_bank_is_config_error(
+            self, piece, monkeypatch, tmp_path, capsys, pitch):
+        calls = self.spy_pitches(monkeypatch)
+        bad = tmp_path / "outside.json"
+        bad.write_text(json.dumps([{"beat": 0, "pitches": [60]},
+                                   {"beat": 1, "pitches": [pitch, 64]}]))
+        assert main(["align", "--audio", piece["wav"],
+                     "--score", str(bad)]) == EXIT_CONFIG
+        assert calls == [None]
+        assert capsys.readouterr().err == (
+            f"scoresync: align: pitch {pitch} outside filterbank range "
+            f"21..108\n")
+
+    def test_top_bands_past_nyquist_fail_a_low_score(self, tmp_path, capsys):
+        # the score's bands fit below 4 kHz, but the bank's top ones do not
+        low = tmp_path / "low.json"
+        low.write_text(json.dumps([{"beat": 0, "pitches": [40]},
+                                   {"beat": 1, "pitches": [45]}]))
+        wav = tmp_path / "8k.wav"
+        write_wav(wav, 8000, [[0] * 16000], fmt="pcm16")
+        assert main(["align", "--audio", str(wav),
+                     "--score", str(low)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "scoresync: filterbank: band for MIDI pitch 107: band edge ")
+
+
 class TestFeatures:
     def test_silence_gives_all_zero_rows(self, tmp_path):
         wav = tmp_path / "silence.wav"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,65 @@ class TestExtractFeatures:
         first = int(pair.onsets.values[pair.onsets.pitch_row(60)].argmax())
         second = int(pair.onsets.values[pair.onsets.pitch_row(64)].argmax())
         assert first < second
+
+
+def formula_normalize(v):
+    """``normalize_bins``' values by its original formula."""
+    values = v.copy()
+    row_max = v.max(axis=1)
+    live = row_max > SILENT_BIN_EPS
+    values[live] /= row_max[live, np.newaxis]
+    values[~live] = 0.0
+    return values
+
+
+def formula_onsets(v, lag=1):
+    """``superflux_onsets``' values by its original formula."""
+    maxfilt = v.copy()
+    maxfilt[:-1] = np.maximum(maxfilt[:-1], v[1:])
+    maxfilt[1:] = np.maximum(maxfilt[1:], v[:-1])
+    onset = np.zeros_like(v)
+    if v.shape[1] > lag:
+        onset[:, lag:] = np.maximum(v[:, lag:] - maxfilt[:, :-lag], 0.0)
+    return formula_normalize(onset)
+
+
+class TestInPlaceFeatures:
+    """The features are built in place, with the values of the formulas
+    that built them from copies."""
+
+    @pytest.mark.parametrize("shape", [(88, 300), (5, 40), (1, 30), (6, 1),
+                                       (1, 1), (3, 2)])
+    def test_values_equal_the_formulas(self, shape):
+        rng = np.random.default_rng(list(shape))
+        for trial in range(4):
+            v = rng.uniform(0.0, 1.0, shape) ** 3
+            if shape[0] > 2:
+                v[rng.integers(shape[0])] = 0.0  # silent
+                v[rng.integers(shape[0])] *= SILENT_BIN_EPS  # below the cut
+            if trial == 3:
+                v[:, ::2] = v[:, :1]  # repeated values leave exact zeros
+            original = v.copy()
+            pair = extract_features(spectro(v))
+            assert np.array_equal(pair.onsets.values, formula_onsets(v))
+            assert np.array_equal(pair.spec.values, formula_normalize(v))
+            for lag in (1, 2, 3, 50):
+                assert np.array_equal(
+                    superflux_onsets(spectro(v), lag=lag).values,
+                    formula_onsets(v, lag))
+            assert np.array_equal(normalize_bins(spectro(v)).values,
+                                  formula_normalize(v))
+            # the public functions leave their input as it was
+            assert np.array_equal(v, original)
+
+    def test_extract_features_peaks_at_twice_the_matrix(self):
+        # the onsets and the spectral matrix, and no third matrix
+        values = np.random.default_rng(4).uniform(0.0, 1.0, (88, 9521))
+        raw = spectro(values)
+        tracemalloc.start()
+        try:
+            extract_features(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * values.nbytes

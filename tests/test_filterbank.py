@@ -502,6 +502,103 @@ class TestDecimatedFiltering:
         self.assert_end_to_end_accuracy(sample_rate)
 
 
+class TestPitches:
+    """``pitches`` keeps a range of rows, each equal to its row of the full
+    bank, and filters only the bands in it."""
+
+    # a single pitch, the bank edges, a range inside the group of MIDI
+    # 61-72, one across four groups, the benchmark scores' bands, and the
+    # whole bank
+    RANGES = [range(60, 61), range(21, 23), range(107, 109), range(62, 71),
+              range(55, 90), range(35, 98), range(21, 109)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block_hops", [1, 384])
+    @pytest.mark.parametrize("window_factor", [1, 3])
+    @pytest.mark.parametrize("sample_rate", [11025, 22050, 44100, 48000])
+    def test_rows_equal_the_full_bank(self, monkeypatch, sample_rate,
+                                      window_factor, block_hops, workers):
+        monkeypatch.setattr(filterbank, "_BLOCK_HOPS", block_hops)
+        monkeypatch.setattr(filterbank, "_num_workers",
+                            lambda num_groups: workers)
+        rng = np.random.default_rng([sample_rate, window_factor])
+        # 12 whole hops and a partial one
+        hop = int(round(sample_rate / 50.0))
+        audio = AudioBuffer(rng.uniform(-0.5, 0.5, 12 * hop + hop // 3),
+                            sample_rate)
+        config = FilterbankConfig(window_factor=window_factor)
+        full = compute_spectrogram(audio, config).values
+        for pitches in self.RANGES:
+            part = compute_spectrogram(audio, config, pitches=pitches)
+            assert part.midi_low == pitches.start
+            assert part.frame_rate == sample_rate / hop
+            assert np.array_equal(part.values, full[pitches.start - 21:
+                                                    pitches.stop - 21])
+
+    # each resample of the 22.05 kHz cascade, as up / down: 441 -> 216,
+    # 216 -> 108 and 108 -> 64 samples per hop
+    @pytest.mark.parametrize("pitches, resamples", [
+        (range(100, 109), {(24, 49)}),
+        (range(86, 90), {(24, 49), (1, 2)}),
+        (range(90, 101), {(24, 49), (1, 2)}),
+        (range(60, 62), {(24, 49), (1, 2), (16, 27)}),
+        (range(21, 22), {(24, 49), (1, 2), (16, 27)})])
+    def test_filters_and_resamples_only_what_the_rows_need(
+            self, monkeypatch, pitches, resamples):
+        sample_rate, hop = 22050, 441
+        monkeypatch.setattr(filterbank, "_BLOCK_HOPS", 4)
+        filtered, resampled = [], []
+        filter_group, resampler = filterbank._filter_group, \
+            filterbank._scipy.resampler
+
+        def spy_filter_group(bank, samples, group_hop, states, out):
+            # a band an octave up at twice the rate has the same
+            # coefficients, so the group hop tells the two apart
+            filtered.extend((group_hop, tuple(a)) for _, a in bank)
+            return filter_group(bank, samples, group_hop, states, out)
+
+        def spy_resampler(fir, up, down):
+            resample = resampler(fir, up, down)
+
+            def spy(x):
+                resampled.append((up, down))
+                return resample(x)
+            return spy
+        monkeypatch.setattr(filterbank, "_filter_group", spy_filter_group)
+        monkeypatch.setattr(filterbank._scipy, "resampler", spy_resampler)
+
+        rng = np.random.default_rng(pitches.start)
+        audio = AudioBuffer(rng.uniform(-0.5, 0.5, 10 * hop), sample_rate)
+        config = FilterbankConfig()
+        compute_spectrogram(audio, config, pitches=pitches)
+        # each band designed at the rate of its group
+        designed = {}
+        for rows, group_hop in filterbank._band_groups(config, hop, 50.0):
+            bank = design_filterbank(
+                replace(config, midi_low=21 + rows[0], num_bands=len(rows)),
+                sample_rate * group_hop / hop)
+            for row, (_, a) in zip(rows, bank):
+                designed[group_hop, tuple(a)] = 21 + row
+        assert sorted(designed[band] for band in set(filtered)) == \
+            list(pitches)
+        assert len(filtered) == 3 * len(pitches)  # blocks of 4, 4, 2 hops
+        assert set(resampled) == resamples
+
+    @pytest.mark.parametrize("pitches", [
+        range(60, 60), range(61, 60), range(20, 22), range(108, 110),
+        range(0, 10), range(60, 70, 2), range(70, 60, -1), [60, 61]])
+    def test_bad_range_rejected(self, pitches):
+        audio = AudioBuffer(np.zeros(22050), 22050)
+        with pytest.raises(ConfigurationError, match="pitches"):
+            compute_spectrogram(audio, pitches=pitches)
+
+    def test_band_above_nyquist_rejected_outside_the_rows(self):
+        # the kept rows fit below 4 kHz, but every band is still designed
+        audio = AudioBuffer(np.zeros(8000), 8000)
+        with pytest.raises(ConfigurationError, match="Nyquist"):
+            compute_spectrogram(audio, pitches=range(21, 40))
+
+
 class TestConfigValidation:
     def test_band_range_beyond_midi_rejected(self):
         with pytest.raises(ConfigurationError):
