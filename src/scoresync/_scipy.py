@@ -19,8 +19,9 @@ So this module finds scipy with ``importlib.util.find_spec("scipy")``,
 which runs no package code, and loads those two extension modules and
 that source file by file location, registered as ``scoresync._sigtools``,
 ``scoresync._upfirdn_apply`` and ``scoresync._wavfile``. (The Cython
-module also registers itself under its own name, so a later ``import
-scipy.signal`` shares it.) Both kernels are private scipy API, so at load
+module also registers itself under its own name; ``_load`` takes that
+entry out again, so a later ``import scipy.signal`` binds it to its
+package.) Both kernels are private scipy API, so at load
 time they filter an impulse and upfirdn ``[1, 2, 3]`` by ``[1, 1]`` and
 must give the known values. If locating or loading a module fails, or the
 check does, the public ``scipy.signal`` or ``scipy.io.wavfile`` functions
@@ -175,10 +176,18 @@ def _load(subpackage: str, name: str, suffixes: list[str]):
     """scipy's ``subpackage/name`` module, from the first file with one of
     ``suffixes``, loaded by file location and registered as
     ``scoresync._name``, without running any ``__init__`` of scipy's
-    packages; ImportError if there is no such file."""
+    packages; ImportError if there is no such file.
+
+    A Cython module also registers itself under its own name while it
+    loads. That entry is removed again unless it was there before: a later
+    ``import scipy.signal`` would find the module in ``sys.modules`` and
+    so never bind it as an attribute of its package.
+    """
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("scipy is not installed")
+    own_name = f"scipy.{subpackage}.{name}"
+    registered = own_name in sys.modules
     for suffix in suffixes:
         path = os.path.join(spec.submodule_search_locations[0], subpackage,
                             name + suffix)
@@ -192,6 +201,9 @@ def _load(subpackage: str, name: str, suffixes: list[str]):
             except BaseException:
                 del sys.modules[module_spec.name]
                 raise
+            finally:
+                if not registered:
+                    sys.modules.pop(own_name, None)
             return module
     raise ImportError(f"scipy/{subpackage}/{name} not found")
 

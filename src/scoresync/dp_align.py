@@ -52,7 +52,7 @@ enumeration over the same terms reproduces the accumulated costs exactly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Literal, NamedTuple, get_args
 
@@ -287,7 +287,8 @@ def align(score: ScoreSequence, features: FeaturePair,
     if params.reset_threshold is None:
         rows = _bounded_tables(beats, n, rate, weighted_costs, params)
     else:
-        rows = _fill_tables(beats, n, rate, weighted_costs, params)
+        rows = _fill_tables(beats, n, rate, weighted_costs, params,
+                            partial(_beam, params.reset_threshold))
 
     frames = [0] * m
     # first occurrence: smallest frame
@@ -316,19 +317,17 @@ class _Row(NamedTuple):
 
 
 def _fill_tables(beats, n: int, rate: float, weighted_costs,
-                 params: AlignmentParams, h=None, cut=None):
+                 params: AlignmentParams, prune=None):
     """The rows of the DP, one ``_Row`` per chord.
 
     ``weighted_costs(r, start, stop)`` gives the weighted onset and
     sustained-spectral costs of chord ``r`` at the frames from ``start``
     up to ``stop``. A row is first laid out over the union of its live
-    sources' windows, then pruned: by a ``reset_threshold`` beam against
-    its minimum, and, with a cost-to-go bound ``h``, wherever
-    ``d + h[r] > cut[r]``. It is stored trimmed to its first and last
-    finite cell, so the rows take memory in proportion to their live
-    spans, not to the frame count. A row left empty under ``h`` returns None,
-    since it cannot tell an infeasible problem from a cut below the
-    optimum.
+    sources' windows; then ``prune(r, lo, d)``, if given, sets the costs
+    ``d`` of the cells it drops to inf, where ``d[0]`` is frame ``lo``. A
+    row with no finite cell left raises InfeasiblePathError. It is stored
+    trimmed to its first and last finite cell, so the rows take memory in
+    proportion to their live spans, not to the frame count.
     """
     rows = []
     for target in range(len(beats)):
@@ -350,23 +349,25 @@ def _fill_tables(beats, n: int, rate: float, weighted_costs,
                                          partial(weighted_costs, target),
                                          dscore, params, n)
 
-        if h is not None:
-            d[d + h[target, lo:lo + len(d)] > cut[target]] = np.inf
-        if not np.isfinite(d).any():
-            if h is not None:
-                return None
+        if prune is not None:
+            prune(target, lo, d)
+        live = np.flatnonzero(np.isfinite(d))
+        if not len(live):
             raise InfeasiblePathError(
                 f"no feasible frame for score onset {target} "
                 f"(beat {beats[target]:g})", score_index=target)
-        if params.reset_threshold is not None:
-            d[d > d.min() + params.reset_threshold] = np.inf
-        live = np.flatnonzero(np.isfinite(d))
         first, stop = int(live[0]), int(live[-1]) + 1
         # copies, so the untrimmed arrays are freed
         rows.append(_Row(lo + first, d[first:stop].copy(),
                          back[first:stop].copy()))
         bp = bp[first:stop]
     return rows
+
+
+def _beam(threshold: float, target: int, lo: int, d: np.ndarray) -> None:
+    """Prune a row's cells whose cost exceeds its minimum by more than
+    ``threshold``; an empty row stays empty."""
+    d[d > np.min(d, initial=np.inf) + threshold] = np.inf
 
 
 # beam of the pass whose total cost bounds the exact search from above
@@ -390,31 +391,29 @@ def _bounded_tables(beats, n: int, rate: float, weighted_costs,
     U is no bound when the problem is infeasible after all, or when the
     beam's path beats the unpruned optimum (the unpruned pass keeps one
     beat period per cell, so a pruned pass can reach a cheaper path).
-    The cut then empties a row, and the tables are filled again
-    unpruned.
+    The beam pass or the cut then empties a row, and the tables are
+    filled again unpruned, which reports an infeasible problem itself.
     """
-    bound = _beam_bound(beats, n, rate, weighted_costs, params)
-    if bound < math.inf:
-        m = len(beats)
-        scale = max(1.0, bound)
-        ulps = 4 * np.finfo(np.float64).eps * np.arange(m - 1, -1, -1)
-        cut = bound + scale * (1e-9 + ulps)
-        tables = _fill_tables(beats, n, rate, weighted_costs, params,
-                              _cost_to_go(beats, n, weighted_costs, params),
-                              cut)
-        if tables is not None:
-            return tables
-    return _fill_tables(beats, n, rate, weighted_costs, params)
+    try:
+        bound = _beam_bound(beats, n, rate, weighted_costs, params)
+        ulps = 4 * np.finfo(np.float64).eps * np.arange(len(beats))[::-1]
+        cut = bound + max(1.0, bound) * (1e-9 + ulps)
+        h = _cost_to_go(beats, n, weighted_costs, params)
+
+        def below_cut(target, lo, d):
+            d[d + h[target, lo:lo + len(d)] > cut[target]] = np.inf
+
+        return _fill_tables(beats, n, rate, weighted_costs, params, below_cut)
+    except InfeasiblePathError:
+        return _fill_tables(beats, n, rate, weighted_costs, params)
 
 
 def _beam_bound(beats, n: int, rate: float, weighted_costs,
                 params: AlignmentParams) -> float:
-    """Total cost of a ``_BOUND_BEAM`` pass; +inf when it finds no path."""
-    beam = replace(params, reset_threshold=_BOUND_BEAM)
-    try:
-        rows = _fill_tables(beats, n, rate, weighted_costs, beam)
-    except InfeasiblePathError:
-        return math.inf
+    """Total cost of a ``_BOUND_BEAM`` pass; InfeasiblePathError when it
+    finds no path."""
+    rows = _fill_tables(beats, n, rate, weighted_costs, params,
+                        partial(_beam, _BOUND_BEAM))
     return float(rows[-1].d.min())
 
 

@@ -40,12 +40,16 @@ filter does, so it equals that slice of the whole-signal resample. Each
 band filters its group's window of the block from the lfilter state the
 previous block left, so its filtered samples are those of a single pass
 over the whole group signal, and reduces it to per-hop maxima
-(``np.maximum.reduceat``). Every group has ``ceil(len(samples) / hop)``
-hops, so the per-hop maxima of all bands form one band x hop matrix, and
-frame t is the maximum of hops t .. t + window_factor - 1 of that matrix
-(``_frame_maxima``), truncated at the end of the signal: one
-sliding-maximum pass per band in place (``_scipy.forward_extremum``),
-O(hops log window) however wide the window.
+(``np.maximum.reduceat``), written straight into the block's columns of
+one band x hop matrix. Every group has ``ceil(len(samples) / hop)`` hops,
+the partial last hop included, so the matrix has a column per hop, and
+frame t is the maximum of hops t .. t + window_factor - 1 of it
+(``_frame_maxima``), truncated at the last hop: one sliding-maximum pass
+per band in place (``_scipy.forward_extremum``), O(hops log window)
+however wide the window. The spectrogram is the matrix's first
+``len(samples) // hop`` columns, a view. A band that filtering left
+holding a NaN or an infinity (samples near the float64 limit overflow
+the filters) is an AudioReadError naming its pitch.
 
 A block's band groups are filtered on one thread per available core, one
 pool task per group, and one of those threads resamples the next block.
@@ -53,8 +57,8 @@ scipy's ``lfilter`` kernel releases the interpreter lock while it filters,
 so the groups filter in parallel. A task per group (8 for the 88 keys)
 rather than per band keeps the pool's own cost per block small. Beyond
 the input samples and the output matrix, the front end holds the
-cascade's windows of two blocks, one block of filtered samples per thread
-and one block of per-hop maxima, however long the recording is.
+cascade's windows of two blocks and one block of filtered samples per
+thread, however long the recording is.
 
 A caller that reads only some bands passes ``compute_spectrogram`` their
 ``pitches``: the plan and the design stay those of the whole bank, but
@@ -81,7 +85,8 @@ import numpy as np
 
 from . import _scipy
 from .audio_io import AudioBuffer
-from .errors import ConfigurationError, EmptyAudioError, check_finite
+from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
+                     check_finite)
 
 # input hops per block of the resample cascade and the filtering: small
 # enough that two blocks of group signals and a block of filtered samples
@@ -104,10 +109,11 @@ _MIN_GROUP_HOP = 64
 class FilterbankConfig:
     """Temperament, register, and framing parameters of the filterbank.
 
-    ``num_bands`` semitone bands start at MIDI ``midi_low``, tuned so that
-    MIDI ``reference_pitch`` sits at ``reference_freq`` Hz. ``frame_rate``
-    (Hz) sets the hop ``round(sample_rate / frame_rate)``; the aggregation
-    window is ``window_factor`` hops wide. Both floats must be finite.
+    ``num_bands`` semitone bands run from MIDI ``midi_low`` up, all within
+    MIDI 0..127, tuned so that MIDI ``reference_pitch`` sits at
+    ``reference_freq`` Hz. ``frame_rate`` (Hz) sets the hop
+    ``round(sample_rate / frame_rate)``; the aggregation window is
+    ``window_factor`` hops wide. Both floats must be finite.
     """
 
     num_bands: int = 88
@@ -121,8 +127,8 @@ class FilterbankConfig:
         check_finite(self)
         if self.num_bands < 1:
             raise ConfigurationError("num_bands must be >= 1")
-        if self.midi_low + self.num_bands - 1 > 127:
-            raise ConfigurationError("band range exceeds MIDI pitch 127")
+        if not 0 <= self.midi_low <= 128 - self.num_bands:
+            raise ConfigurationError("bands must lie within MIDI 0..127")
         if self.reference_freq <= 0:
             raise ConfigurationError("reference_freq must be positive")
         if self.frame_rate <= 0:
@@ -266,27 +272,20 @@ def design_filterbank(config: FilterbankConfig, sample_rate: float
     return list(zip(b, a))
 
 
-def _frame_maxima(hop_maxima: np.ndarray, tail: np.ndarray,
-                  window_factor: int) -> np.ndarray:
-    """Turn the per-hop maxima of the whole hops into frame maxima, in
-    place: frame t becomes the maximum of hops t .. t + window_factor - 1,
-    the window truncated at the end of the signal, where ``tail`` (one
-    column or none) holds the partial hop after the whole ones.
+def _frame_maxima(hop_maxima: np.ndarray, window_factor: int) -> np.ndarray:
+    """Turn a band x hop matrix of per-hop maxima into frame maxima, in
+    place: column t becomes the maximum of hops t .. t + window_factor - 1,
+    the window truncated at the last hop.
 
     One O(hops log window) sliding-maximum pass per band, nothing to do
     for a window of one hop; a window wider than the hops reads nothing
     more. The pass overwrites ``hop_maxima`` row by row and returns it, so
     framing allocates no more than one row and its window at a time.
     """
-    num_frames = hop_maxima.shape[-1]
     if window_factor > 1:
-        for row in np.atleast_2d(hop_maxima):
+        for row in hop_maxima:
             _scipy.forward_extremum(np.maximum, row, window_factor, -np.inf,
                                     out=row)
-    if tail.size:
-        # the frames whose window reaches past the last whole hop
-        last = hop_maxima[..., max(0, num_frames - window_factor + 1):]
-        np.maximum(last, tail, out=last)
     return hop_maxima
 
 
@@ -447,7 +446,8 @@ def compute_spectrogram(audio: AudioBuffer,
     filtered on one thread per available core, one task per group, and
     one of those threads resamples the next block meanwhile; the memory
     this takes beyond the input samples and the output matrix does not
-    grow with the recording.
+    grow with the recording. A kept band holding a NaN or an infinity
+    after filtering raises AudioReadError naming its pitch.
     """
     rows = _pitch_rows(config, pitches)
     samples = np.asarray(audio.samples, dtype=np.float64)
@@ -491,7 +491,7 @@ def compute_spectrogram(audio: AudioBuffer,
     group_levels = [hops.index(group_hop) for group_hop in group_hops]
 
     num_hops = -(-len(samples) // hop)
-    hop_maxima = np.empty((len(rows), num_frames))
+    hop_maxima = np.empty((len(rows), num_hops))
     states = [[np.zeros(2)] * len(bank) for bank in banks]
     with ThreadPoolExecutor(_num_workers(len(banks))) as pool:
         following = pool.submit(_block_signals, samples, levels, 0,
@@ -504,17 +504,16 @@ def compute_spectrogram(audio: AudioBuffer,
                 # resamples while the others filter
                 following = pool.submit(_block_signals, samples, levels, t1,
                                         t1 + _BLOCK_HOPS)
-            block = np.empty((len(rows), t1 - t0))
             # list() waits for the block and re-raises an exception from
             # a worker
             states = list(pool.map(
                 _filter_group, banks, [signals[k] for k in group_levels],
-                group_hops, states, [block[out] for out in out_rows]))
-            hop_maxima[:, t0:t1] = block[:, :num_frames - t0]
-    # the last block's column past the whole hops, if any, is the
-    # partial last hop
-    values = _frame_maxima(hop_maxima, block[:, num_frames - t0:],
-                           config.window_factor)
-
-    return Spectrogram(values=values, frame_rate=frame_rate,
-                       midi_low=config.midi_low + rows.start)
+                group_hops, states, [hop_maxima[o, t0:t1] for o in out_rows]))
+    # the partial last hop, if any, is read by the last frames' windows
+    values = _frame_maxima(hop_maxima, config.window_factor)[:, :num_frames]
+    midi_low = config.midi_low + rows.start
+    bad = np.flatnonzero(~np.isfinite(values.max(axis=1)))
+    if len(bad):
+        raise AudioReadError(f"band of MIDI pitch {midi_low + bad[0]} holds "
+                             f"a non-finite value after filtering")
+    return Spectrogram(values=values, frame_rate=frame_rate, midi_low=midi_low)

@@ -478,6 +478,36 @@ class TestFeatures:
         assert capsys.readouterr().out.startswith("frame,p21")
 
 
+class TestOverflowingAudio:
+    """A float WAV whose samples are finite but so large that the band
+    filters overflow fails with exit 3 naming the band, on every command
+    that filters it."""
+
+    @pytest.fixture
+    def wav(self, tmp_path):
+        sr = 22050
+        t = np.arange(sr) / sr
+        path = tmp_path / "overflow.wav"
+        write_wav(path, sr, [(1.7e308 * np.sin(2 * np.pi * 440.0 * t))
+                             .tolist()], fmt="f64")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["align"], ["features", "--feature", "raw", "--precision", "full"],
+        ["features", "--feature", "spec"],
+        ["features", "--feature", "onsets"]])
+    def test_exits_io_error_naming_the_band(self, wav, score_path, tmp_path,
+                                            capsys, argv):
+        out = tmp_path / "out.csv"
+        score = ["--score", score_path] if argv[0] == "align" else []
+        assert main([*argv, "--audio", wav, *score,
+                     "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("scoresync: audio: band of MIDI pitch ")
+        assert err.endswith(" holds a non-finite value after filtering\n")
+        assert not out.exists()
+
+
 class TestEval:
     def test_perfect_alignment_scores_100(self, piece, tmp_path, capsys):
         aligned = tmp_path / "a.csv"
@@ -765,6 +795,17 @@ class TestConfigFile:
         assert main(["align", "--audio", str(tmp_path / "missing.wav"),
                      "--score", score_path, "--config", str(cfg)]) \
             == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["align", "features"])
+    def test_negative_midi_low_is_config_error(self, tmp_path, piece,
+                                               capsys, command):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("midi_low=-5\n")
+        extra = ["--score", piece["score"]] if command == "align" else []
+        assert main([command, "--audio", piece["wav"], *extra,
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "scoresync: config: bands must lie within MIDI 0..127\n"
 
     def test_unknown_pitch_aggregation_flag_is_usage_error(self, score_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from scoresync import (AudioBuffer, ConfigurationError, EmptyAudioError,
-                       FilterbankConfig, align, band_edges, center_frequency,
-                       compute_spectrogram, design_bandpass,
-                       design_filterbank, evaluate, extract_features,
-                       synthesize)
+from scoresync import (AudioBuffer, AudioReadError, ConfigurationError,
+                       EmptyAudioError, FilterbankConfig, align, band_edges,
+                       center_frequency, compute_spectrogram,
+                       design_bandpass, design_filterbank, evaluate,
+                       extract_features, synthesize)
 from scoresync import filterbank
 from scoresync.filterbank import _frame_maxima
 
@@ -147,9 +147,8 @@ def window_max(x, hop, window):
     """Window maxima of a 1-D signal as ``compute_spectrogram`` frames its
     bands, for windows of whole hops."""
     hop_maxima = np.maximum.reduceat(x, np.arange(0, len(x), hop))
-    whole = len(x) // hop
-    return _frame_maxima(hop_maxima[:whole], hop_maxima[whole:],
-                         window // hop)
+    return _frame_maxima(hop_maxima[np.newaxis], window // hop)[
+        0, :len(x) // hop]
 
 
 class TestWindowMax:
@@ -188,6 +187,18 @@ class TestComputeSpectrogram:
         assert spec.values.shape == (88, 50)
         assert not spec.values.any()
         assert spec.frame_rate == 50.0
+
+    @pytest.mark.parametrize("pitches, first", [(None, 21),
+                                                (range(60, 70), 60)])
+    def test_overflowing_samples_name_their_band(self, pitches, first):
+        # finite samples near the float64 limit overflow the band filters
+        sr = 22050
+        t = np.arange(sr) / sr
+        audio = AudioBuffer(1.7e308 * np.sin(2 * np.pi * 440.0 * t), sr)
+        with pytest.raises(AudioReadError,
+                           match=f"band of MIDI pitch {first} holds a "
+                                 f"non-finite value"):
+            compute_spectrogram(audio, pitches=pitches)
 
     def test_non_divisible_rate_uses_effective_rate(self):
         audio = AudioBuffer(samples=np.zeros(48000), sample_rate=48000)
@@ -603,6 +614,12 @@ class TestConfigValidation:
     def test_band_range_beyond_midi_rejected(self):
         with pytest.raises(ConfigurationError):
             FilterbankConfig(midi_low=60, num_bands=88)
+
+    def test_negative_midi_low_rejected(self):
+        with pytest.raises(ConfigurationError, match="within MIDI 0..127"):
+            FilterbankConfig(midi_low=-1)
+        assert FilterbankConfig(midi_low=0, num_bands=128).band_pitches[-1] \
+            == 127
 
     def test_positive_rates_required(self):
         with pytest.raises(ConfigurationError):

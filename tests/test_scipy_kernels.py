@@ -262,18 +262,23 @@ print(json.dumps({"eager_random": eager_random, "seen": seen}))
 """
 
 
+def _run_python(code, *args):
+    """``code`` run by a fresh interpreter that imports this checkout's
+    scoresync."""
+    src = os.path.dirname(os.path.dirname(scoresync.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_commands_import_no_heavy_scipy_package(tmp_path):
     score = tmp_path / "score.json"
     score.write_text(json.dumps(
         [{"beat": b, "pitches": [60 + b % 5, 67]} for b in range(8)]))
     _run_cli(["synth", "--score", str(score), "--tempo", "0:120", "--seed",
               "1", "--sample-rate", "44100"], tmp_path / "piece.wav")
-    src = os.path.dirname(os.path.dirname(scoresync.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
-        capture_output=True, text=True, timeout=300)
+    result = _run_python(_IMPORT_GUARD, str(tmp_path))
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     seen = report["seen"]
@@ -285,3 +290,29 @@ def test_commands_import_no_heavy_scipy_package(tmp_path):
                       if report["eager_random"] or stage == "synth --score"}
     assert seen == {stage: ["numpy.random"] if stage in random_allowed
                     else [] for stage in seen}
+
+
+_LATER_SCIPY_SIGNAL = """
+import numpy as np
+import scoresync
+from scoresync import _scipy
+import scipy.signal
+scipy.signal._upfirdn_apply._apply
+assert _scipy.resampler.__qualname__.startswith("_private_filters")
+x = np.random.default_rng(3).normal(size=2000)
+for up, down in [(1, 2), (27, 55), (16, 27)]:
+    fir = _scipy.firwin_kaiser(20 * max(up, down) + 1, 1.0 / max(up, down),
+                               5.0)
+    assert np.array_equal(_scipy.resampler(fir, up, down)(x),
+                          scipy.signal.resample_poly(x, up, down, window=fir))
+print("ok")
+"""
+
+
+def test_scipy_signal_imported_later_binds_its_kernel_module():
+    # the Cython kernel registers itself under its scipy name as it loads;
+    # an entry left there would keep a later import of scipy.signal from
+    # binding it to the package
+    result = _run_python(_LATER_SCIPY_SIGNAL)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
