@@ -1,16 +1,23 @@
 """Feature-CSV I/O in row blocks: the pooled and the in-process paths give
 the bytes of one ``%`` per row and the values of one ``np.loadtxt``, name
-a bad row by its line in the file, and leave no worker process behind."""
+a bad row by its line in the file, and leave no worker process behind.
+The vectorized ``%g`` kernel gives the bytes of CPython's ``%`` on every
+block it formats, and the writer falls back to ``%`` only for a block
+holding a value outside the kernel's domain."""
 
 import io
 import multiprocessing
 import re
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scoresync import Spectrogram, formats
+from scoresync import Spectrogram, _gformat, formats
 
 WIDTH = 1 + 7  # the frame column and seven bands
 
@@ -98,6 +105,167 @@ class TestWriter:
         spectrogram = _matrix(85)
         assert _written(spectrogram, precision) == _per_row(spectrogram,
                                                             precision)
+
+
+# values the kernel must format itself, per precision: a little inside
+# [1e-22, 1e6) at 6 digits and [1e-10, 1e15) at 17
+INSIDE = {6: (2.0 ** -72, 2.0 ** 19), 17: (2.0 ** -33, 2.0 ** 49)}
+LARGEST_SUBNORMAL = 2.2250738585072009e-308
+SMALLEST_NORMAL = 2.2250738585072014e-308
+LARGEST = 1.7976931348623157e308
+
+
+def _percent(rows, precision, t0=0):
+    line = ("%d," + ",".join([f"%.{precision}g"] * rows.shape[1]) + "\n")
+    return formats._format_rows(line, t0, rows)
+
+
+def _kernel(rows, precision, t0=0):
+    """The kernel's bytes for ``rows``, which must equal one ``%`` per
+    row; None where it leaves the block to ``%``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    text = _gformat.format_rows(t0, rows, precision)
+    if text is not None:
+        assert text == _percent(rows, precision, t0)
+    return text
+
+
+def _inside(x, precision):
+    low, high = INSIDE[precision]
+    return (x == 0 and not np.signbit(x)) or low <= x < high
+
+
+def _near_powers_of_ten():
+    return [y for j in range(-12, 18) for x in [10.0 ** j]
+            for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))]
+
+
+def _misjudged():
+    """Doubles whose ``floor(np.log10(x))`` is not their decimal exponent,
+    which the exact value of ``Decimal(x)`` gives."""
+    return [x for x in _near_powers_of_ten()
+            + [np.nextafter(x, 0) for x in _near_powers_of_ten()]
+            if np.floor(np.log10(x)) != Decimal(x).adjusted()]
+
+
+def _ties(precision):
+    """Doubles exactly half-way between two numbers of ``precision``
+    significant digits: x * 10**p = n + 1/2 for an integer n of that
+    many digits, so 2n + 1 = o * 5**p for an odd o and x = o / 2**(p + 1)."""
+    ties = []
+    for p in range(25):
+        # the least and the greatest o with 2n + 1 of ``precision`` digits
+        first = -(-2 * 10 ** (precision - 1) // 5 ** p) | 1
+        last = ((2 * 10 ** precision - 1) // 5 ** p - 1) | 1
+        ties += [o / 2 ** (p + 1) for o in (first, first + 2, last)
+                 if first <= o <= last and o < 2 ** 53]
+    return ties
+
+
+def _bit_patterns(rng, shape, biased_exponents):
+    """Positive normal doubles of random mantissas, their biased binary
+    exponents drawn from the range ``biased_exponents``."""
+    mantissa = rng.integers(0, 1 << 52, size=shape, dtype=np.uint64)
+    exponent = rng.integers(*biased_exponents, size=shape).astype(np.uint64)
+    return (mantissa | (exponent << np.uint64(52))).view(np.float64)
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+class TestKernel:
+    def test_edge_values(self, precision):
+        edges = [0.0, -0.0, 5e-324, LARGEST_SUBNORMAL, SMALLEST_NORMAL,
+                 LARGEST, np.inf, np.nan, -1.0]
+        edges += [0.5 * 10.0 ** -k for k in range(12)]
+        for x in edges + _near_powers_of_ten():
+            text = _kernel([[x]], precision)
+            if _inside(x, precision):
+                assert text is not None, x
+            if (np.signbit(x) or not np.isfinite(x)
+                    or 0 < x < SMALLEST_NORMAL):
+                assert text is None, x
+
+    def test_misjudged_decimal_exponents(self, precision):
+        misjudged = [x for x in _misjudged() if _inside(x, precision)]
+        assert misjudged
+        assert _kernel([misjudged], precision) is not None
+
+    def test_half_way_ties_round_to_even(self, precision):
+        ties = _ties(precision)
+        assert len(ties) > 20
+        for x in ties:
+            scaled = Decimal(x).scaleb(precision - 1 - Decimal(x).adjusted())
+            assert scaled % 1 == Decimal("0.5")
+        assert _kernel([ties], precision) is not None
+
+    def test_random_bit_patterns(self, precision):
+        rng = np.random.default_rng(precision)
+        low, high = (np.frexp(b)[1] + 1022 for b in INSIDE[precision])
+        for t0 in range(0, 50 * 32, 32):
+            rows = _bit_patterns(rng, (32, 16), (low, high))
+            rows[rng.random(rows.shape) < 0.05] = 0.0
+            assert _kernel(rows, precision, t0) is not None
+        # any bit pattern: the kernel formats the block exactly or leaves it
+        for t0 in range(0, 50 * 4, 4):
+            _kernel(np.frombuffer(rng.bytes(8 * 16), np.float64)
+                    .reshape(4, 4), precision, t0)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_inside(self, precision, data):
+        low, high = INSIDE[precision]
+        rows = data.draw(arrays(
+            np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+            elements=st.one_of(st.just(0.0), st.floats(
+                low, high, exclude_max=True))))
+        t0 = data.draw(st.integers(0, 10 ** 5))
+        assert _kernel(rows, precision, t0) is not None
+
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 3),
+                                             st.integers(1, 4))))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_any_double(self, precision, rows):
+        _kernel(rows, precision)
+
+
+class TestFallback:
+    """Which blocks reach ``_format_rows``: a kernel that always fell back
+    would pass every test of the bytes."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch, in_process):
+        calls = []
+        format_rows = formats._format_rows
+
+        def spy(line, t0, rows):
+            calls.append(t0)
+            return format_rows(line, t0, rows)
+
+        monkeypatch.setattr(formats, "_format_rows", spy)
+        return calls
+
+    @staticmethod
+    def _ordinary(frames):
+        # positive values over four decades, as a raw spectrogram holds
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-5, -0.5, size=(WIDTH - 1, frames))
+        return Spectrogram(values=values, frame_rate=50.0, midi_low=60)
+
+    @pytest.mark.parametrize("precision", [6, "full"])
+    def test_ordinary_values_never_fall_back(self, fallbacks, precision):
+        spectrogram = self._ordinary(85)
+        assert _written(spectrogram, precision) == _per_row(spectrogram,
+                                                            precision)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("precision", [6, "full"])
+    @pytest.mark.parametrize("odd", [-0.0, 5e-324])
+    def test_block_with_one_odd_value_falls_back(self, fallbacks,
+                                                 precision, odd):
+        spectrogram = self._ordinary(85)
+        spectrogram.values[3, 40] = odd  # in the block of frames 32..47
+        assert _written(spectrogram, precision) == _per_row(spectrogram,
+                                                            precision)
+        assert fallbacks == [32]
 
 
 class TestReader:
