@@ -19,7 +19,8 @@ from .audio_io import load_wav
 from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      InfeasiblePathError, ScoreError, ScoreSyncError,
                      UnsupportedAudioError)
-from .features import extract_features, normalize_bins, superflux_onsets
+from .features import (_raw_bands, extract_features, normalize_bins,
+                       superflux_onsets)
 from .filterbank import FilterbankConfig, compute_spectrogram
 
 EXIT_IO = 3
@@ -115,15 +116,16 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
 
 def _score_bands(score: score_mod.ScoreSequence,
                  config: FilterbankConfig) -> range | None:
-    """The bands ``align`` reads for ``score``: its register and one band
-    either side, which the onset feature's three-band maximum reads, within
-    the bank. None when a score pitch has no band, so the whole bank is
-    filtered and the DP reports that pitch."""
+    """The bands ``align`` reads for ``score``: those the features of its
+    register read (``_raw_bands``), within the bank. None when a
+    score pitch has no band, so the whole bank is filtered and the DP
+    reports that pitch."""
     pitches = [p for onset in score.onsets for p in onset.pitches]
-    low, top = config.midi_low, config.midi_low + config.num_bands - 1
-    if not low <= min(pitches) <= max(pitches) <= top:
+    low, stop = config.midi_low, config.midi_low + config.num_bands
+    if not low <= min(pitches) <= max(pitches) < stop:
         return None
-    return range(max(low, min(pitches) - 1), min(top, max(pitches) + 1) + 1)
+    bands = _raw_bands(min(pitches), max(pitches))
+    return range(max(low, bands.start), min(stop, bands.stop))
 
 
 def _fail(message: str, code: int) -> int:
@@ -246,6 +248,8 @@ def cmd_align(args) -> int:
         score = _load_score(args.score, args.chord_tolerance)
     except ScoreError as exc:
         return _fail(f"score: {exc}", EXIT_SCORE)
+    except ConfigurationError as exc:
+        return _fail(f"config: {exc}", EXIT_CONFIG)
 
     try:
         if args.audio is not None:
@@ -302,6 +306,8 @@ def cmd_synth(args) -> int:
         score = _load_score(args.score, args.chord_tolerance)
     except ScoreError as exc:
         return _fail(f"score: {exc}", EXIT_SCORE)
+    except ConfigurationError as exc:
+        return _fail(f"config: {exc}", EXIT_CONFIG)
 
     first_beat = score.onsets[0].beat
     if args.tempo.segments[0][0] != first_beat:

@@ -47,8 +47,11 @@ wins, and on equal costs the smaller source frame wins, both within a
 chunk and across chunks. The new row is laid out over the union of the
 windows and trimmed to its finite cells once it is pruned.
 
-All cost arithmetic keeps a fixed evaluation order; exhaustive path
-enumeration over the same terms reproduces the accumulated costs exactly.
+The cost is defined only in ``align``'s ``chord_costs`` (sustained
+lookahead, pitch aggregation, onset and spectral weights) and in
+``_step_cost`` (stretch weight and sum), which row 0, every relaxation and
+the cost-to-go bound call. Both keep a fixed evaluation order; exhaustive
+path enumeration over the same terms reproduces the costs exactly.
 """
 
 import math
@@ -210,40 +213,11 @@ def _forward_min(values: np.ndarray, width: int, pad: float) -> np.ndarray:
     return _scipy.forward_extremum(np.minimum, nxt, width, pad)
 
 
-def _sustained_spec(spec_values: np.ndarray, row: int, k_max: int) -> np.ndarray:
-    """min over k = 1..k_max of spec[row, min(j + k, N - 1)], per frame j.
-
-    Every k >= N - 1 reads frame N - 1 alone, so a window wider than N
-    reads nothing more.
-    """
-    values = spec_values[row]
-    return _forward_min(values, min(k_max, len(values)), values[-1])
-
-
-def _chord_cost_vectors(onsets_values: np.ndarray,
-                        sustained: dict[int, np.ndarray], rows: np.ndarray,
-                        params: AlignmentParams, start: int, stop: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Onset and sustained-spectral costs of one chord at the frames
-    ``start .. stop - 1``, from the ``_sustained_spec`` vectors of its
-    band rows: ``1 - value`` over the rows, summed with ``np.add`` and
-    divided for the mean, or folded with ``np.minimum`` for the minimum,
-    in one loop.
-
-    Pitches accumulate in row order; keep that order fixed, results must be
-    bit-reproducible against scalar re-evaluation.
-    """
-    mean = params.pitch_aggregation == "mean"
-    combine = np.add if mean else np.minimum
-    con = np.full(stop - start, 0.0 if mean else np.inf)
-    csp = con.copy()
-    for r in rows:
-        combine(con, 1.0 - onsets_values[r, start:stop], out=con)
-        combine(csp, 1.0 - sustained[r][start:stop], out=csp)
-    if mean:
-        con /= len(rows)
-        csp /= len(rows)
-    return con, csp
+def _step_cost(w_con, w_csp, stretch, params: AlignmentParams):
+    """Cost of a step onto a cell with weighted chord costs ``w_con`` and
+    ``w_csp`` and stretch cost ``stretch``, summed in that order (scalars
+    or arrays). Row 0 and the cost-to-go bound charge no stretch."""
+    return (w_con + params.w_stretch * stretch) + w_csp
 
 
 def align(score: ScoreSequence, features: FeaturePair,
@@ -274,20 +248,34 @@ def align(score: ScoreSequence, features: FeaturePair,
         np.array([features.onsets.pitch_row(p) for p in o.pitches])
         for o in score.onsets
     ]
-    # once per distinct band row, however many chords share it
-    sustained = {r: _sustained_spec(spec_values, r, params.sustain_frames)
+    # min of spec over the frames j + 1 .. j + sustain_frames (frame N - 1
+    # past the end), once per band row however many chords share it
+    k_max = min(params.sustain_frames, n)
+    sustained = {r: _forward_min(spec_values[r], k_max, spec_values[r, -1])
                  for r in set(np.concatenate(chord_rows).tolist())}
+    mean = params.pitch_aggregation == "mean"
+    combine = np.add if mean else np.minimum
 
-    def weighted_costs(target, start=0, stop=n):
-        con, csp = _chord_cost_vectors(onsets_values, sustained,
-                                       chord_rows[target], params, start,
-                                       stop)
+    def chord_costs(target, start=0, stop=n):
+        """Weighted onset and sustained-spectral costs of chord ``target``
+        at the frames ``start .. stop - 1``: the mean or minimum of ``1 -
+        value`` over its band rows, accumulated in row order (keep it
+        fixed: results must match scalar re-evaluation bit for bit)."""
+        rows = chord_rows[target]
+        con = np.full(stop - start, 0.0 if mean else np.inf)
+        csp = con.copy()
+        for r in rows:
+            combine(con, 1.0 - onsets_values[r, start:stop], out=con)
+            combine(csp, 1.0 - sustained[r][start:stop], out=csp)
+        if mean:
+            con /= len(rows)
+            csp /= len(rows)
         return params.w_onset * con, params.w_spec * csp
 
     if params.reset_threshold is None:
-        rows = _bounded_tables(beats, n, rate, weighted_costs, params)
+        rows = _bounded_tables(beats, n, rate, chord_costs, params)
     else:
-        rows = _fill_tables(beats, n, rate, weighted_costs, params,
+        rows = _fill_tables(beats, n, rate, chord_costs, params,
                             partial(_beam, params.reset_threshold))
 
     frames = [0] * m
@@ -316,11 +304,11 @@ class _Row(NamedTuple):
     back: np.ndarray
 
 
-def _fill_tables(beats, n: int, rate: float, weighted_costs,
+def _fill_tables(beats, n: int, rate: float, chord_costs,
                  params: AlignmentParams, prune=None):
     """The rows of the DP, one ``_Row`` per chord.
 
-    ``weighted_costs(r, start, stop)`` gives the weighted onset and
+    ``chord_costs(r, start, stop)`` gives the weighted onset and
     sustained-spectral costs of chord ``r`` at the frames from ``start``
     up to ``stop``. A row is first laid out over the union of its live
     sources' windows; then ``prune(r, lo, d)``, if given, sets the costs
@@ -339,14 +327,14 @@ def _fill_tables(beats, n: int, rate: float, weighted_costs,
             # cannot take
             lo = 0
             width = math.floor(min(params.initial_window * rate, n - 1)) + 1
-            w_con, w_csp = weighted_costs(0, 0, width)
-            d = np.fmin(np.inf, 0.0 + (w_con + w_csp))
+            w_con, w_csp = chord_costs(0, 0, width)
+            d = np.fmin(np.inf, 0.0 + _step_cost(w_con, w_csp, 0.0, params))
             back = np.full(width, -1, dtype=np.int32)
             bp = np.full(width, float(params.bp_init))
         else:
             dscore = beats[target] - beats[target - 1]
             lo, d, back, bp = _relax_row(rows[-1].d, bp, rows[-1].lo,
-                                         partial(weighted_costs, target),
+                                         partial(chord_costs, target),
                                          dscore, params, n)
 
         if prune is not None:
@@ -374,7 +362,7 @@ def _beam(threshold: float, target: int, lo: int, d: np.ndarray) -> None:
 _BOUND_BEAM = 2.0
 
 
-def _bounded_tables(beats, n: int, rate: float, weighted_costs,
+def _bounded_tables(beats, n: int, rate: float, chord_costs,
                     params: AlignmentParams):
     """``_fill_tables`` without a beam, pruned by a bound that keeps every
     kept cell's cost, backpointer and beat period exact.
@@ -395,29 +383,29 @@ def _bounded_tables(beats, n: int, rate: float, weighted_costs,
     filled again unpruned, which reports an infeasible problem itself.
     """
     try:
-        bound = _beam_bound(beats, n, rate, weighted_costs, params)
+        bound = _beam_bound(beats, n, rate, chord_costs, params)
         ulps = 4 * np.finfo(np.float64).eps * np.arange(len(beats))[::-1]
         cut = bound + max(1.0, bound) * (1e-9 + ulps)
-        h = _cost_to_go(beats, n, weighted_costs, params)
+        h = _cost_to_go(beats, n, chord_costs, params)
 
         def below_cut(target, lo, d):
             d[d + h[target, lo:lo + len(d)] > cut[target]] = np.inf
 
-        return _fill_tables(beats, n, rate, weighted_costs, params, below_cut)
+        return _fill_tables(beats, n, rate, chord_costs, params, below_cut)
     except InfeasiblePathError:
-        return _fill_tables(beats, n, rate, weighted_costs, params)
+        return _fill_tables(beats, n, rate, chord_costs, params)
 
 
-def _beam_bound(beats, n: int, rate: float, weighted_costs,
+def _beam_bound(beats, n: int, rate: float, chord_costs,
                 params: AlignmentParams) -> float:
     """Total cost of a ``_BOUND_BEAM`` pass; InfeasiblePathError when it
     finds no path."""
-    rows = _fill_tables(beats, n, rate, weighted_costs, params,
+    rows = _fill_tables(beats, n, rate, chord_costs, params,
                         partial(_beam, _BOUND_BEAM))
     return float(rows[-1].d.min())
 
 
-def _cost_to_go(beats, n: int, weighted_costs,
+def _cost_to_go(beats, n: int, chord_costs,
                 params: AlignmentParams) -> np.ndarray:
     """Lower bound h[r, j] on what rows r + 1 .. M - 1 add to a path
     through cell (r, j); +inf where no window path reaches the last row.
@@ -425,20 +413,21 @@ def _cost_to_go(beats, n: int, weighted_costs,
     It drops the stretch cost (never negative) and widens every window to
     ``[j + 1, j + w]``, where ``w`` is the widest window any beat period
     up to ``bp_max`` opens, so ``h[r]`` is a forward sliding minimum of
-    the weighted chord costs of row r + 1 plus ``h[r + 1]``.
+    the stretch-free step costs of row r + 1 plus ``h[r + 1]``.
     """
     m = len(beats)
     h = np.empty((m, n))
     h[-1] = 0.0
     for r in range(m - 1, 0, -1):
-        w_con, w_csp = weighted_costs(r)
+        w_con, w_csp = chord_costs(r)
         _, w = _frame_windows(0, params.bp_max,
                               beats[r] - beats[r - 1], params, n)
         w = int(w)
         if w < 1:
             h[r - 1] = np.inf
             continue
-        h[r - 1] = _forward_min(w_con + w_csp + h[r], w, np.inf)
+        h[r - 1] = _forward_min(_step_cost(w_con, w_csp, 0.0, params) + h[r],
+                                w, np.inf)
     return h
 
 
@@ -489,9 +478,8 @@ def _relax_row(d_src: np.ndarray, bp_src: np.ndarray, src_lo: int,
         dframes = (dst - j).astype(np.float64)
         bp = np.repeat(bp_s[s0:s1], counts)
         st = stretch_cost(dframes, bp, dscore, params)
-        step = w_con[dst] + params.w_stretch * st
-        step = step + w_csp[dst]
-        cand = np.repeat(d_s[s0:s1], counts) + step
+        cand = np.repeat(d_s[s0:s1], counts) + _step_cost(
+            w_con[dst], w_csp[dst], st, params)
 
         base = int(dst.min())
         local = dst - base

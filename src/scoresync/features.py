@@ -70,6 +70,14 @@ def _onsets(v: np.ndarray, lag: int, midi_low: int,
     return _scale_bins(onset, _band_maxima(onset, midi_low))
 
 
+def _raw_bands(low: int, top: int) -> range:
+    """Pitches of the raw bands that the features of the pitches ``low ..
+    top`` read: those and one band either side, for the onsets' three-band
+    maximum (``_onsets``). Pitches past the bank are left for the caller
+    to clip."""
+    return range(low - 1, top + 2)
+
+
 def normalize_bins(m: Spectrogram) -> Spectrogram:
     """Scale each band to a maximum of one over time.
 

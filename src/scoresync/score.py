@@ -10,7 +10,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .errors import ScoreError
+from .errors import ConfigurationError, ScoreError
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,12 @@ def from_midi(path: str, chord_tolerance: int = 0) -> ScoreSequence:
 
     Note-ons from all tracks are merged; events within ``chord_tolerance``
     ticks of a chord's first event join that chord. Chord beat = first
-    event's tick / PPQ.
+    event's tick / PPQ. A negative ``chord_tolerance`` raises
+    ConfigurationError.
     """
+    if chord_tolerance < 0:
+        raise ConfigurationError(
+            f"chord_tolerance must be non-negative, got {chord_tolerance}")
     try:
         with open(path, "rb") as f:
             data = f.read()

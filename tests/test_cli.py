@@ -12,7 +12,7 @@ from scoresync import AlignmentParams, FilterbankConfig, cli
 from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
                            main)
 
-from helpers import write_wav
+from helpers import write_midi, write_wav
 
 
 @pytest.fixture
@@ -32,6 +32,14 @@ def piece(tmp_path, score_path):
                  "--out", str(wav)]) == 0
     return {"wav": str(wav), "truth": f"{wav}.truth.csv",
             "score": score_path}
+
+
+@pytest.fixture
+def midi_chords(tmp_path):
+    """A MIDI score of six two-note chords, one beat apart."""
+    path = tmp_path / "chords.mid"
+    write_midi(path, [[(480 * i, p, 80) for i in range(6) for p in (60, 64)]])
+    return str(path)
 
 
 class TestSynth:
@@ -74,6 +82,14 @@ class TestSynth:
         assert main(["synth", "--score", score_path, "--out", str(out),
                      "--seed", str(seed)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("scoresync: synth: ")
+        assert not out.exists()
+
+    def test_negative_chord_tolerance_is_config_error(self, midi_chords,
+                                                      tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", midi_chords, "--out", str(out),
+                     "--chord-tolerance", "-1"]) == EXIT_CONFIG
+        assert "chord_tolerance" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -144,6 +160,16 @@ class TestAlign:
         assert main(["align", "--audio", piece["wav"],
                      "--score", missing]) == EXIT_SCORE
         assert "nowhere.json" in capsys.readouterr().err
+
+    def test_negative_chord_tolerance_is_config_error(self, piece,
+                                                      midi_chords, tmp_path,
+                                                      capsys):
+        out = tmp_path / "alignment.csv"
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     midi_chords, "--chord-tolerance", "-1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "chord_tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_audio_is_io_error(self, score_path, tmp_path):
         assert main(["align", "--audio", str(tmp_path / "no.wav"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoresync import ScoreError, from_json, from_midi
+from scoresync import ConfigurationError, ScoreError, from_json, from_midi
 
 from helpers import write_midi
 
@@ -39,6 +39,15 @@ class TestFromMidi:
         seq = from_midi(str(path), chord_tolerance=0)
         assert [o.beat for o in seq.onsets] == [0.0, 1.0]
         assert all(o.pitches == (60,) for o in seq.onsets)
+
+    @pytest.mark.parametrize("tolerance", [-1, -480])
+    def test_negative_tolerance_is_config_error(self, tmp_path, tolerance):
+        # a negative tolerance never groups, so it would split every chord
+        # into notes on one beat
+        path = tmp_path / "chord.mid"
+        write_midi(path, [[(0, 60, 80), (0, 64, 80), (480, 62, 80)]])
+        with pytest.raises(ConfigurationError, match="chord_tolerance"):
+            from_midi(str(path), chord_tolerance=tolerance)
 
     def test_duplicate_pitches_in_chord_deduplicated(self, tmp_path):
         path = tmp_path / "dup.mid"
