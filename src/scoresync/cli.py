@@ -105,6 +105,12 @@ def _build(cls, settings: dict):
 
 
 def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
+    """The score at ``path``; ConfigurationError for a negative
+    ``--chord-tolerance`` whatever the score's format, though only a MIDI
+    score reads it."""
+    if chord_tolerance < 0:
+        raise ConfigurationError(
+            f"chord_tolerance must be non-negative, got {chord_tolerance}")
     lower = path.lower()
     if lower.endswith((".mid", ".midi")):
         return score_mod.from_midi(path, chord_tolerance=chord_tolerance)

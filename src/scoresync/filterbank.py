@@ -291,7 +291,7 @@ def _frame_maxima(hop_maxima: np.ndarray, window_factor: int) -> np.ndarray:
 
 def _num_workers(num_tasks: int) -> int:
     """One worker per core this process may run on, at most one per task:
-    a band group here, a row block of a feature CSV in ``formats``."""
+    a band group here, a row block of a feature CSV read in ``formats``."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:

@@ -9,25 +9,24 @@ Row t is frame t, and the reader rejects a ``frame`` column that does not
 number the rows 0, 1, ..., so a dump with missing or reordered rows
 cannot shift the frames after them.
 
-Feature CSVs are written and read in row blocks (``_map_blocks``), on a
-pool of one forked process per available core when there are more than
-two blocks: the writer formats ``_BLOCK_ROWS`` frames per task and writes
-the blocks in order, so its bytes do not depend on the pool, and keeps
-at most ``_BLOCKS_AHEAD`` blocks per process in flight. A block is
-formatted by ``_gformat``, an exact vectorized ``%g`` at 6 and 17
-significant digits: an integer product of each mantissa with a power of
-five, rounded half to even, then one boolean compress of fixed-width
-text slots. Its domain is +0.0 and the positive normal doubles from
-about 1e-22 (6 digits) or 1e-10 (17 digits) up to 1e6 or 1e15. A block
-holding any other value (-0.0, a negative, subnormal or non-finite
-value) or written at another precision is formatted by ``_format_rows``,
-one ``%`` per row, whose bytes the kernel's equal. The reader splits
-the file at line ends about every ``_BLOCK_BYTES`` bytes, and each task
-reads and parses its own byte range, so the parent never holds the text.
-With one core, one or two blocks, no ``fork`` start method, or other
-threads running in the process, the same blocks run in process. A row
-that does not parse is reported by its line in the file, whichever block
-holds it.
+Feature CSVs are written in blocks of ``_BLOCK_ROWS`` frames, in this
+process and in order. A block is formatted by ``_gformat``, an exact
+vectorized ``%g`` at 6 and 17 significant digits: an integer product of
+each mantissa with a power of five, rounded half to even, then one
+boolean compress of fixed-width text slots. Its domain is +0.0 and the
+positive normal doubles from about 1e-22 (6 digits) or 1e-10 (17
+digits) up to 1e6 or 1e15. A block holding any other value (-0.0, a
+negative, subnormal or non-finite value) or written at another precision
+is formatted by ``_format_rows``, one ``%`` per row, whose bytes the
+kernel's equal. Feature CSVs are read in blocks of whole lines
+(``_map_blocks``), on a pool of one forked process per available core
+when there are more than two blocks, at most ``_BLOCKS_AHEAD`` blocks
+per process in flight: the reader splits the file at line ends about
+every ``_BLOCK_BYTES`` bytes, and each task reads and parses its own
+byte range, so the parent never holds the text. With one core, one or
+two blocks, no ``fork`` start method, or other threads running in the
+process, the same blocks are parsed in process. A row that does not
+parse is reported by its line in the file, whichever block holds it.
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -49,15 +48,9 @@ from .filterbank import Spectrogram, _num_workers
 from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
 
-# frames per block of a feature CSV write: about 0.5 MB of full-precision
-# text at 88 bands. Writing the 9,521 x 88 full-precision dump of a 190 s
-# 11.025 kHz piece (window factor 2) on two cores, five runs each, took
-# 0.171-0.240 s (median 0.189) at 256 frames, 0.167-0.182 s (0.173) at
-# 512 and 0.219-0.257 s (0.235) at 1,024, whose ten blocks leave the two
-# workers idle in turn. The `features` process peaked (VmHWM) at
-# 61.6-63.2, 62.1-63.4 and 66.9-67.7 MB, and its workers (ru_maxrss) at
-# 62, 69 and 83 MB: 512 frames would save about 0.015 s of a 1 s command
-# for 7 MB more per worker
+# frames per block of a feature CSV write, about 0.5 MB of full-precision
+# text at 88 bands: fewer frames per block add per-block time, and more
+# frames raise the peak memory by the formatter's per-block temporaries
 _BLOCK_ROWS = 256
 # bytes per block of a feature CSV read: about 1,100 frames at full
 # precision and 88 bands
@@ -136,8 +129,8 @@ def _format_block(line: str, digits: int, t0: int,
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
                       precision=6) -> None:
     """The header of ``_feature_header``, then one row per frame, each
-    the bytes of one ``%`` over the whole row, ``_BLOCK_ROWS`` frames per
-    task of ``_map_blocks``.
+    the bytes of one ``%`` over the whole row, formatted and written
+    ``_BLOCK_ROWS`` frames at a time in this process.
 
     A block whose values all lie in the domain of ``_gformat``, +0.0 and
     positive normal doubles over a range of exponents, is formatted by
@@ -151,10 +144,9 @@ def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
     line = ("%d," + ",".join([f"%.{digits}g"] * spectrogram.num_bands)
             + "\n")
     values = spectrogram.values
-    _map_blocks(_format_block,
-                [(line, digits, t0, values[:, t0:t0 + _BLOCK_ROWS].T)
-                 for t0 in range(0, values.shape[1], _BLOCK_ROWS)],
-                out.write)
+    for t0 in range(0, values.shape[1], _BLOCK_ROWS):
+        out.write(_format_block(line, digits, t0,
+                                values[:, t0:t0 + _BLOCK_ROWS].T))
 
 
 def _read_range(f, start: int, stop: int) -> bytes:

@@ -15,6 +15,11 @@ from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
 from helpers import write_midi, write_wav
 
 
+# the MIDI reader's message, which every score type gets
+NEGATIVE_TOLERANCE = \
+    "scoresync: config: chord_tolerance must be non-negative, got -1\n"
+
+
 @pytest.fixture
 def score_path(tmp_path):
     path = tmp_path / "score.json"
@@ -84,12 +89,14 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("scoresync: synth: ")
         assert not out.exists()
 
-    def test_negative_chord_tolerance_is_config_error(self, midi_chords,
+    @pytest.mark.parametrize("score", ["midi_chords", "score_path"])
+    def test_negative_chord_tolerance_is_config_error(self, request, score,
                                                       tmp_path, capsys):
         out = tmp_path / "x.wav"
-        assert main(["synth", "--score", midi_chords, "--out", str(out),
-                     "--chord-tolerance", "-1"]) == EXIT_CONFIG
-        assert "chord_tolerance" in capsys.readouterr().err
+        assert main(["synth", "--score", request.getfixturevalue(score),
+                     "--out", str(out), "--chord-tolerance", "-1"]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == NEGATIVE_TOLERANCE
         assert not out.exists()
 
 
@@ -161,14 +168,15 @@ class TestAlign:
                      "--score", missing]) == EXIT_SCORE
         assert "nowhere.json" in capsys.readouterr().err
 
-    def test_negative_chord_tolerance_is_config_error(self, piece,
-                                                      midi_chords, tmp_path,
+    @pytest.mark.parametrize("score", ["midi_chords", "score_path"])
+    def test_negative_chord_tolerance_is_config_error(self, request, score,
+                                                      piece, tmp_path,
                                                       capsys):
         out = tmp_path / "alignment.csv"
         assert main(["align", "--audio", piece["wav"], "--score",
-                     midi_chords, "--chord-tolerance", "-1",
-                     "--out", str(out)]) == EXIT_CONFIG
-        assert "chord_tolerance" in capsys.readouterr().err
+                     request.getfixturevalue(score), "--chord-tolerance",
+                     "-1", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == NEGATIVE_TOLERANCE
         assert not out.exists()
 
     def test_missing_audio_is_io_error(self, score_path, tmp_path):
@@ -224,19 +232,23 @@ class TestAlign:
 
     def test_dump_on_a_process_pool_matches(self, piece, tmp_path,
                                             monkeypatch):
-        # blocks of 16 frames and 4 kB, so the piece spans many: the
-        # pooled dump equals the in-process one, and aligning from it
-        # equals aligning the audio
+        # blocks of 4 kB, so the dump spans many: aligning from it in
+        # process and on a pool of two equals aligning the audio
         from scoresync import formats
-        monkeypatch.setattr(formats, "_BLOCK_ROWS", 16)
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
-        monkeypatch.setattr(formats, "_num_workers", lambda n: 1)
-        one = tmp_path / "one.csv"
+        raw = tmp_path / "raw.csv"
+        direct = tmp_path / "direct.csv"
         assert main(["features", "--audio", piece["wav"], "--feature", "raw",
-                     "--precision", "full", "--out", str(one)]) == 0
-        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-        self._assert_dump_round_trip(piece["wav"], piece["score"], tmp_path)
-        assert (tmp_path / "raw.csv").read_bytes() == one.read_bytes()
+                     "--precision", "full", "--out", str(raw)]) == 0
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--out", str(direct)]) == 0
+        for workers in (1, 2):
+            monkeypatch.setattr(formats, "_num_workers",
+                                lambda n, w=workers: min(n, w))
+            from_dump = tmp_path / f"from_dump{workers}.csv"
+            assert main(["align", "--features", str(raw), "--score",
+                         piece["score"], "--out", str(from_dump)]) == 0
+            assert from_dump.read_bytes() == direct.read_bytes()
 
     def test_bad_row_in_a_late_block_names_its_line(self, piece, tmp_path,
                                                     monkeypatch, capsys):

@@ -1,6 +1,7 @@
-"""Feature-CSV I/O in row blocks: the pooled and the in-process paths give
-the bytes of one ``%`` per row and the values of one ``np.loadtxt``, name
-a bad row by its line in the file, and leave no worker process behind.
+"""Feature-CSV I/O in row blocks: the writer formats its blocks in
+process into the bytes of one ``%`` per row, whatever the number of cores;
+the pooled and the in-process reads give the values of one ``np.loadtxt``,
+name a bad row by its line in the file, and leave no worker process behind.
 The vectorized ``%g`` kernel gives the bytes of CPython's ``%`` on every
 block it formats, and the writer falls back to ``%`` only for a block
 holding a value outside the kernel's domain."""
@@ -95,10 +96,21 @@ def _csv(tmp_path, text, newline="\n"):
 @pytest.mark.parametrize("precision", [6, "full"])
 class TestWriter:
     # 85 frames: five blocks of 16 and a ragged last block of 5
-    def test_pooled_output_is_one_percent_per_row(self, pooled, precision):
+    def test_two_cores_write_in_process(self, monkeypatch, small_blocks,
+                                        precision):
+        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+        calls = []
+        monkeypatch.setattr(formats, "_map_on_pool",
+                            lambda *args: calls.append(args))
         spectrogram = _matrix(85)
         assert _written(spectrogram, precision) == _per_row(spectrogram,
                                                             precision)
+        spectrogram.values = spectrogram.values.astype(object)
+        spectrogram.values[2, 70] = "not a number"
+        with pytest.raises(TypeError):
+            _written(spectrogram, precision)
+        assert calls == []
+        assert multiprocessing.active_children() == []
 
     def test_in_process_output_is_one_percent_per_row(self, in_process,
                                                       precision):
@@ -232,7 +244,7 @@ class TestFallback:
     would pass every test of the bytes."""
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch, in_process):
+    def fallbacks(self, monkeypatch, small_blocks):
         calls = []
         format_rows = formats._format_rows
 
@@ -349,16 +361,18 @@ def test_block_narrower_than_the_header_names_its_first_line(pooled,
         formats.read_feature_csv(path, 50.0)
 
 
-def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks):
+def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks,
+                                               tmp_path):
     # a forked child would inherit any lock the other thread holds
     monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
     monkeypatch.setattr(formats, "_map_on_pool", None)  # fails if called
+    path = _csv(tmp_path, _per_row(_matrix(85), "full"))
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        spectrogram = _matrix(85)
-        assert _written(spectrogram, 6) == _per_row(spectrogram, 6)
+        assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
+                              _matrix(85).values)
     finally:
         release.set()
         other.join(timeout=60)
@@ -366,18 +380,6 @@ def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks):
 
 
 class TestNoWorkerOutlivesTheCall:
-    def test_write(self, pooled):
-        _written(_matrix(85), "full")
-        assert multiprocessing.active_children() == []
-
-    def test_write_whose_worker_raises(self, pooled):
-        spectrogram = _matrix(85)
-        spectrogram.values = spectrogram.values.astype(object)
-        spectrogram.values[2, 70] = "not a number"
-        with pytest.raises(TypeError):
-            _written(spectrogram, 6)
-        assert multiprocessing.active_children() == []
-
     def test_read(self, pooled, tmp_path):
         formats.read_feature_csv(
             _csv(tmp_path, _per_row(_matrix(85), 6)), 50.0)
