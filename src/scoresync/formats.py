@@ -18,28 +18,26 @@ positive normal doubles from about 1e-22 (6 digits) or 1e-10 (17
 digits) up to 1e6 or 1e15. A block holding any other value (-0.0, a
 negative, subnormal or non-finite value) or written at another precision
 is formatted by ``_format_rows``, one ``%`` per row, whose bytes the
-kernel's equal. Feature CSVs are read in blocks of whole lines
-(``_map_blocks``), on a pool of one forked process per available core
-when there are more than two blocks, at most ``_BLOCKS_AHEAD`` blocks
-per process in flight: the reader splits the file at line ends about
-every ``_BLOCK_BYTES`` bytes, and each task reads and parses its own
-byte range, so the parent never holds the text. With one core, one or
-two blocks, no ``fork`` start method, or other threads running in the
-process, the same blocks are parsed in process. A row that does not
-parse is reported by its line in the file, whichever block holds it.
+kernel's equal. Feature CSVs are read in blocks of whole lines: the
+reader splits the file at line ends about every ``_BLOCK_BYTES`` bytes,
+and each block is read and parsed from its own byte range
+(``_parsed_blocks``), so the parent never holds the text. When there are
+more than two blocks, more than one core, the ``fork`` start method and
+no other thread in the process, the blocks are parsed on a pool of one
+forked process per core; otherwise in process. A row that does not parse
+is reported by its line in the file, whichever block holds it.
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
 ``score_index`` is not its 0-based position.
 """
 
-import collections
 import io
 import json
 import math
 import threading
 import warnings
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -55,51 +53,6 @@ _BLOCK_ROWS = 256
 # bytes per block of a feature CSV read: about 1,100 frames at full
 # precision and 88 bands
 _BLOCK_BYTES = 1 << 21
-# blocks per worker process submitted ahead of the one being consumed:
-# enough to keep every worker busy, few enough that the parent's memory
-# does not grow with the file
-_BLOCKS_AHEAD = 2
-
-
-def _map_blocks(fn: Callable, tasks: list[tuple],
-                consume: Callable) -> None:
-    """``consume(fn(*task))`` for each task, in order.
-
-    With more than two tasks, more than one core (``_num_workers``), the
-    ``fork`` start method and no other thread in this process, ``fn`` runs
-    on a pool of one forked process per core, at most ``_BLOCKS_AHEAD``
-    tasks per process in flight; otherwise in this process. Forking keeps
-    the workers from importing the package again, and forking only a
-    single-threaded process keeps them from inheriting a lock another
-    thread holds. An exception from ``fn`` or ``consume`` propagates once
-    every worker has exited.
-    """
-    workers = _num_workers(len(tasks))
-    if len(tasks) > 2 and workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            _map_on_pool(fn, tasks, consume, workers,
-                         multiprocessing.get_context("fork"))
-            return
-    for task in tasks:
-        consume(fn(*task))
-
-
-def _map_on_pool(fn, tasks, consume, workers, context) -> None:
-    """``_map_blocks`` on a pool of ``workers`` processes of ``context``."""
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=context)
-    try:
-        pending = collections.deque()
-        for task in tasks:
-            pending.append(pool.submit(fn, *task))
-            if len(pending) == _BLOCKS_AHEAD * workers:
-                consume(pending.popleft().result())
-        while pending:
-            consume(pending.popleft().result())
-    finally:
-        # joins the workers; after an exception, drops the queued tasks
-        pool.shutdown(cancel_futures=True)
 
 
 def _feature_header(midi_low: int, num_bands: int) -> str:
@@ -113,17 +66,6 @@ def _format_rows(line: str, t0: int, rows: np.ndarray) -> str:
     ``rows``, joined; only one row is held as Python floats at a time."""
     return "".join([line % (t, *row.tolist())
                     for t, row in enumerate(rows, t0)])
-
-
-def _format_block(line: str, digits: int, t0: int,
-                  rows: np.ndarray) -> str:
-    """``_format_rows(line, t0, rows)``, by ``_gformat.format_rows`` at
-    ``digits`` significant digits where that formats the block."""
-    # imported by the first block, not with this module, so that the
-    # commands that write no feature CSV do not load it
-    from . import _gformat
-    text = _gformat.format_rows(t0, rows, digits)
-    return _format_rows(line, t0, rows) if text is None else text
 
 
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
@@ -143,10 +85,14 @@ def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
     digits = 17 if precision == "full" else int(precision)
     line = ("%d," + ",".join([f"%.{digits}g"] * spectrogram.num_bands)
             + "\n")
+    # imported here, not with this module, so that the commands that
+    # write no feature CSV do not load it
+    from . import _gformat
     values = spectrogram.values
     for t0 in range(0, values.shape[1], _BLOCK_ROWS):
-        out.write(_format_block(line, digits, t0,
-                                values[:, t0:t0 + _BLOCK_ROWS].T))
+        rows = values[:, t0:t0 + _BLOCK_ROWS].T
+        text = _gformat.format_rows(t0, rows, digits)
+        out.write(_format_rows(line, t0, rows) if text is None else text)
 
 
 def _read_range(f, start: int, stop: int) -> bytes:
@@ -175,6 +121,37 @@ def _parse_range(path: str, start: int, stop: int,
     """``_parse_rows`` of bytes ``start`` .. ``stop`` of the file."""
     with open(path, "rb") as f:
         return _parse_rows(_read_range(f, start, stop), width)
+
+
+def _parsed_blocks(path: str, bounds: list[int],
+                   width: int) -> Iterator[np.ndarray]:
+    """``_parse_range`` of each block between ``bounds``, in file order.
+
+    With more than two blocks, more than one core (``_num_workers``), the
+    ``fork`` start method and no other thread in this process, the blocks
+    are parsed on a pool of one forked process per core; otherwise in this
+    process. Forking keeps the workers from importing the package again,
+    and forking only a single-threaded process keeps them from inheriting
+    a lock another thread holds. An exception from a block propagates
+    once every worker has exited.
+    """
+    n = len(bounds) - 1
+    args = ([path] * n, bounds[:-1], bounds[1:], [width] * n)
+    workers = _num_workers(n)
+    if n > 2 and workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                yield from pool.map(_parse_range, *args)
+            finally:
+                # joins the workers; after an exception, drops the queued
+                # blocks
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(_parse_range, *args)
 
 
 def _row_bounds(f, start: int) -> list[int]:
@@ -226,8 +203,14 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     ``_feature_header`` would write with no band past MIDI pitch 127, and
     rows, all as wide as the header, of finite non-negative values, whose
     ``frame`` column numbers them 0, 1, ...: row t is frame t. A line that
-    is not such a row is named by its line number in the file. The rows
-    are parsed in blocks of about ``_BLOCK_BYTES`` (``_map_blocks``).
+    is not such a row is named by its line number in the file.
+
+    The rows are parsed in blocks of whole lines, about ``_BLOCK_BYTES``
+    each, which ``_parsed_blocks`` yields in file order, from a pool of
+    forked processes or from this one. The parsed blocks are kept and
+    joined once. When a block does not parse, the number of blocks
+    received before it is its index, and ``_bad_row`` parses only that
+    block's lines again, one by one, to name the bad line.
     """
     with open(path, "rb") as f:
         header = f.readline().decode().strip().split(",")
@@ -248,9 +231,8 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         bounds = _row_bounds(f, f.tell())
     blocks = []
     try:
-        _map_blocks(_parse_range,
-                    [(path, a, b, len(header))
-                     for a, b in zip(bounds, bounds[1:])], blocks.append)
+        for block in _parsed_blocks(path, bounds, len(header)):
+            blocks.append(block)
     except ValueError:
         raise _bad_row(path, bounds, len(blocks), len(header)) from None
     # a header-only CSV has no rows

@@ -82,7 +82,9 @@ def from_json(path: str) -> ScoreSequence:
             doc = json.load(f)
     except OSError as exc:
         raise ScoreError(f"cannot open score {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, text that does not decode, or an integer
+        # literal longer than the interpreter converts to an int
         raise ScoreError(f"malformed JSON in {path!r}: {exc}") from exc
 
     if not isinstance(doc, list):
@@ -103,7 +105,12 @@ def from_json(path: str) -> ScoreSequence:
                     for p in pitches):
             raise ScoreError(
                 f"{path!r}: onset {i} pitches must be a list of integers")
-        onsets.append(ScoreOnset(beat=float(beat),
+        try:
+            beat = float(beat)
+        except OverflowError:
+            raise ScoreError(f"{path!r}: onset {i} beat is too large for "
+                             f"a float") from None
+        onsets.append(ScoreOnset(beat=beat,
                                  pitches=tuple(sorted(set(pitches)))))
     return _validated(onsets)
 

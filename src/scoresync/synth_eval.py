@@ -126,11 +126,15 @@ def evaluate(predicted: list[float], ground_truth: list[float]) -> EvalReport:
     """Absolute per-onset errors in milliseconds with summary statistics.
 
     Threshold percentages count errors strictly below each threshold.
+    ValueError unless both lists hold the same number of onsets and that
+    number is at least one, since no onsets have no mean or median.
     """
     if len(predicted) != len(ground_truth):
         raise ValueError(
             f"length mismatch: {len(predicted)} predictions vs "
             f"{len(ground_truth)} ground-truth onsets")
+    if not predicted:
+        raise ValueError("no onsets to evaluate")
     errors = np.abs(np.asarray(predicted, dtype=np.float64)
                     - np.asarray(ground_truth, dtype=np.float64)) * 1000.0
     pct = {thr: float(np.mean(errors < thr) * 100.0)

@@ -19,6 +19,16 @@ from helpers import write_midi, write_wav
 NEGATIVE_TOLERANCE = \
     "scoresync: config: chord_tolerance must be non-negative, got -1\n"
 
+# JSON scores holding a number that cannot be read: a beat too large for a
+# float, and integer literals longer than the interpreter parses
+UNREADABLE_NUMBERS = {
+    "huge_beat": '[{"beat": 1' + "0" * 399 + ', "pitches": [60]}]',
+    "long_beat": '[{"beat": 1' + "0" * 4400 + ', "pitches": [60]}]',
+    "long_pitch": '[{"beat": 0, "pitches": [1' + "0" * 4400 + ']}]',
+}
+unreadable_numbers = pytest.mark.parametrize(
+    "doc", UNREADABLE_NUMBERS.values(), ids=UNREADABLE_NUMBERS)
+
 
 @pytest.fixture
 def score_path(tmp_path):
@@ -99,6 +109,17 @@ class TestSynth:
         assert capsys.readouterr().err == NEGATIVE_TOLERANCE
         assert not out.exists()
 
+    @unreadable_numbers
+    def test_unreadable_json_number_is_score_error(self, tmp_path, capsys,
+                                                   doc):
+        score = tmp_path / "score.json"
+        score.write_text(doc)
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", str(score), "--out", str(out)]) \
+            == EXIT_SCORE
+        assert capsys.readouterr().err.startswith("scoresync: score: ")
+        assert not out.exists()
+
 
 class TestAlign:
     def test_alignment_csv_row_per_onset(self, piece, tmp_path):
@@ -177,6 +198,17 @@ class TestAlign:
                      request.getfixturevalue(score), "--chord-tolerance",
                      "-1", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == NEGATIVE_TOLERANCE
+        assert not out.exists()
+
+    @unreadable_numbers
+    def test_unreadable_json_number_is_score_error(self, piece, tmp_path,
+                                                   capsys, doc):
+        score = tmp_path / "unreadable.json"
+        score.write_text(doc)
+        out = tmp_path / "alignment.csv"
+        assert main(["align", "--audio", piece["wav"], "--score", str(score),
+                     "--out", str(out)]) == EXIT_SCORE
+        assert capsys.readouterr().err.startswith("scoresync: score: ")
         assert not out.exists()
 
     def test_missing_audio_is_io_error(self, score_path, tmp_path):
@@ -573,6 +605,19 @@ class TestEval:
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
         assert doc["onsets"] == 6
+
+    def test_no_onsets_is_score_error(self, tmp_path, capsys):
+        # two header-only CSVs: no onsets have no mean or median
+        aligned = tmp_path / "a.csv"
+        aligned.write_text(
+            "score_index,beat,pitches,frame,time_s,cumulative_cost\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("score_index,beat,time_s\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", str(truth)]) == EXIT_SCORE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scoresync: eval: no onsets to evaluate\n"
 
     def test_row_count_mismatch_fails(self, piece, tmp_path):
         aligned = tmp_path / "short.csv"

@@ -6,6 +6,7 @@ The vectorized ``%g`` kernel gives the bytes of CPython's ``%`` on every
 block it formats, and the writer falls back to ``%`` only for a block
 holding a value outside the kernel's domain."""
 
+import concurrent.futures
 import io
 import multiprocessing
 import re
@@ -31,22 +32,29 @@ def small_blocks(monkeypatch):
 
 
 @pytest.fixture
-def pooled(monkeypatch, small_blocks):
+def pools(monkeypatch):
+    """The process pools built, counted by a stand-in for
+    ``ProcessPoolExecutor`` that builds the real one."""
+    built = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(executor(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return built
+
+
+@pytest.fixture
+def pooled(monkeypatch, small_blocks, pools):
     """Two worker processes on any machine; fails a test that does not
     reach the pool."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
     monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-    calls = []
-    on_pool = formats._map_on_pool
-
-    def spy(*args):
-        calls.append(args)
-        return on_pool(*args)
-
-    monkeypatch.setattr(formats, "_map_on_pool", spy)
     yield
-    assert calls, "the blocks ran in process"
+    assert pools, "the blocks ran in process"
 
 
 @pytest.fixture
@@ -97,11 +105,8 @@ def _csv(tmp_path, text, newline="\n"):
 class TestWriter:
     # 85 frames: five blocks of 16 and a ragged last block of 5
     def test_two_cores_write_in_process(self, monkeypatch, small_blocks,
-                                        precision):
+                                        pools, precision):
         monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-        calls = []
-        monkeypatch.setattr(formats, "_map_on_pool",
-                            lambda *args: calls.append(args))
         spectrogram = _matrix(85)
         assert _written(spectrogram, precision) == _per_row(spectrogram,
                                                             precision)
@@ -109,14 +114,8 @@ class TestWriter:
         spectrogram.values[2, 70] = "not a number"
         with pytest.raises(TypeError):
             _written(spectrogram, precision)
-        assert calls == []
+        assert pools == []
         assert multiprocessing.active_children() == []
-
-    def test_in_process_output_is_one_percent_per_row(self, in_process,
-                                                      precision):
-        spectrogram = _matrix(85)
-        assert _written(spectrogram, precision) == _per_row(spectrogram,
-                                                            precision)
 
 
 # values the kernel must format itself, per precision: a little inside
@@ -365,7 +364,8 @@ def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks,
                                                tmp_path):
     # a forked child would inherit any lock the other thread holds
     monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-    monkeypatch.setattr(formats, "_map_on_pool", None)  # fails if called
+    # fails if called
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     path = _csv(tmp_path, _per_row(_matrix(85), "full"))
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))

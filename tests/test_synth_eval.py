@@ -143,6 +143,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="mismatch"):
             evaluate([0.0, 1.0], [0.0])
 
+    def test_no_onsets_rejected(self):
+        with pytest.raises(ValueError, match="no onsets"):
+            evaluate([], [])
+
     @given(st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_symmetric_in_error_sign(self, offsets):
