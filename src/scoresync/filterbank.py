@@ -463,7 +463,7 @@ def compute_spectrogram(audio: AudioBuffer,
     if num_frames == 0:
         raise EmptyAudioError(
             f"audio too short: {len(samples)} samples is less than one "
-            f"frame of {ratio:.0f}")
+            f"frame of {ratio:.10g}")
 
     frame_rate = audio.sample_rate / hop
     groups = _band_groups(config, hop, frame_rate)

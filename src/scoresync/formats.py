@@ -24,8 +24,10 @@ and each block is read and parsed from its own byte range
 (``_parsed_blocks``), so the parent never holds the text. When there are
 more than two blocks, more than one core, the ``fork`` start method and
 no other thread in the process, the blocks are parsed on a pool of one
-forked process per core; otherwise in process. A row that does not parse
-is reported by its line in the file, whichever block holds it.
+forked process per core; otherwise in process. A block that does not
+parse names its first bad line by its line in the file, whichever block
+it is and wherever it was parsed: only then are its lines parsed one by
+one and the lines before it counted (``_parse_range``).
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -118,9 +120,35 @@ def _parse_rows(text: bytes, width: int) -> np.ndarray:
 
 def _parse_range(path: str, start: int, stop: int,
                  width: int) -> np.ndarray:
-    """``_parse_rows`` of bytes ``start`` .. ``stop`` of the file."""
+    """``_parse_rows`` of bytes ``start`` .. ``stop`` of the file, which
+    start at a line start. When they do not parse, the ValueError names
+    the first of their lines that is not a row of ``width`` numbers by
+    its line in the file; the lines are parsed one by one, and the lines
+    before ``start`` counted, only on this error path."""
     with open(path, "rb") as f:
-        return _parse_rows(_read_range(f, start, stop), width)
+        text = _read_range(f, start, stop)
+        try:
+            return _parse_rows(text, width)
+        except ValueError:
+            # start is a line start, so the block's first line is 1 plus
+            # the newlines before it, counted a block at a time so that no
+            # more of the file is held than on the success path
+            first = 1 + sum(
+                _read_range(f, a, min(a + _BLOCK_BYTES, start)).count(b"\n")
+                for a in range(0, start, _BLOCK_BYTES))
+    for lineno, line in enumerate(text.split(b"\n"), first):
+        try:
+            _parse_rows(line, width)
+        except ValueError:
+            got = len(line.split(b","))
+            raise ValueError(
+                f"{path!r} line {lineno}: expected a row of {width} "
+                f"comma-separated numbers"
+                + (f", got {got} values" if got != width else "")) from None
+    # every check of a block is a check of its lines, so this is
+    # unreachable unless loadtxt disagrees with itself
+    raise ValueError(f"{path!r}: the lines from line {first} on do not "
+                     f"parse")
 
 
 def _parsed_blocks(path: str, bounds: list[int],
@@ -170,31 +198,6 @@ def _row_bounds(f, start: int) -> list[int]:
     return bounds + [size]
 
 
-def _bad_row(path: str, bounds: list[int], k: int,
-             width: int) -> ValueError:
-    """The error for the first line of block ``k`` that is not a row of
-    ``width`` numbers, naming its line in the file; the block's lines are
-    parsed one by one only on this error path."""
-    with open(path, "rb") as f:
-        # the header is line 1, and each block ends at a line end
-        first = 2 + sum(_read_range(f, a, b).count(b"\n")
-                        for a, b in zip(bounds[:k], bounds[1:k + 1]))
-        lines = _read_range(f, bounds[k], bounds[k + 1]).split(b"\n")
-    for lineno, line in enumerate(lines, first):
-        try:
-            _parse_rows(line, width)
-        except ValueError:
-            got = len(line.split(b","))
-            return ValueError(
-                f"{path!r} line {lineno}: expected a row of {width} "
-                f"comma-separated numbers"
-                + (f", got {got} values" if got != width else ""))
-    # every check of a block is a check of its lines, so this is
-    # unreachable unless loadtxt disagrees with itself
-    return ValueError(f"{path!r}: the lines from line {first} on do not "
-                      f"parse")
-
-
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
@@ -208,9 +211,8 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     The rows are parsed in blocks of whole lines, about ``_BLOCK_BYTES``
     each, which ``_parsed_blocks`` yields in file order, from a pool of
     forked processes or from this one. The parsed blocks are kept and
-    joined once. When a block does not parse, the number of blocks
-    received before it is its index, and ``_bad_row`` parses only that
-    block's lines again, one by one, to name the bad line.
+    joined once. A block that does not parse raises, from the call that
+    parsed it (``_parse_range``), the error naming its first bad line.
     """
     with open(path, "rb") as f:
         header = f.readline().decode().strip().split(",")
@@ -229,15 +231,9 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
             raise ValueError(f"{path!r}: band columns run past MIDI pitch "
                              f"127, got {header[-1]!r}")
         bounds = _row_bounds(f, f.tell())
-    blocks = []
-    try:
-        for block in _parsed_blocks(path, bounds, len(header)):
-            blocks.append(block)
-    except ValueError:
-        raise _bad_row(path, bounds, len(blocks), len(header)) from None
+    rows = np.concatenate(list(_parsed_blocks(path, bounds, len(header))))
     # a header-only CSV has no rows
-    rows = np.concatenate(blocks)
-    if rows.shape[0] == 0 or rows.shape[1] != len(header):
+    if rows.shape[0] == 0:
         raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
                          f"values after the header")
     frames = rows[:, 0]

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -263,10 +264,12 @@ class TestAlign:
         self._assert_dump_round_trip(wav, score_path, tmp_path)
 
     def test_dump_on_a_process_pool_matches(self, piece, tmp_path,
-                                            monkeypatch):
+                                            monkeypatch, pools):
         # blocks of 4 kB, so the dump spans many: aligning from it in
         # process and on a pool of two equals aligning the audio
         from scoresync import formats
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
         raw = tmp_path / "raw.csv"
         direct = tmp_path / "direct.csv"
@@ -281,10 +284,16 @@ class TestAlign:
             assert main(["align", "--features", str(raw), "--score",
                          piece["score"], "--out", str(from_dump)]) == 0
             assert from_dump.read_bytes() == direct.read_bytes()
+            # one worker reads in process, two build the pool
+            assert len(pools) == workers - 1
 
     def test_bad_row_in_a_late_block_names_its_line(self, piece, tmp_path,
-                                                    monkeypatch, capsys):
+                                                    monkeypatch, capsys,
+                                                    pools):
+        # raised in the forked worker that parses the block
         from scoresync import formats
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
         monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
         raw, lines = self._dump_rows(piece, tmp_path)
@@ -292,6 +301,7 @@ class TestAlign:
         lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",x"
         assert self._align_dump(piece, raw, lines) == EXIT_IO
         assert f"{str(raw)!r} line {line}: " in capsys.readouterr().err
+        assert len(pools) == 1
 
     def _dump_rows(self, piece, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -524,9 +534,11 @@ class TestFeatures:
             "scoresync: filterbank: frame rate 1e+09 Hz gives a hop of 0")
         assert not out.exists()
 
-    # a subnormal frame rate makes the hop inf, longer than any signal
+    # a subnormal frame rate makes the hop inf, longer than any signal; a
+    # tiny normal one a hop printed in exponent form
     @pytest.mark.parametrize("frame_rate, hop", [("1e-3", "22050000"),
-                                                 ("1e-320", "inf")])
+                                                 ("1e-320", "inf"),
+                                                 ("1e-300", "2.205e+304")])
     def test_hop_longer_than_audio_is_io_error(self, piece, tmp_path,
                                                capsys, frame_rate, hop):
         out = tmp_path / "feat.csv"

@@ -32,21 +32,6 @@ def small_blocks(monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The process pools built, counted by a stand-in for
-    ``ProcessPoolExecutor`` that builds the real one."""
-    built = []
-    executor = concurrent.futures.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        built.append(executor(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    return built
-
-
-@pytest.fixture
 def pooled(monkeypatch, small_blocks, pools):
     """Two worker processes on any machine; fails a test that does not
     reach the pool."""
@@ -332,11 +317,14 @@ def _with_field(value):
                                   lambda row: row + ",0.5"],
                          ids=["word", "empty", "short", "long"])
 @pytest.mark.parametrize("paths", ["pooled", "in_process"])
+# line 2, the first row, is in block 0, which starts after the header
+@pytest.mark.parametrize("line", [2, 80])
 def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
-                                                paths):
+                                                paths, line):
     request.getfixturevalue(paths)
-    path = _bad_lines(tmp_path, edit, 80)
-    with pytest.raises(ValueError, match=re.escape(f"{path!r} line 80: ")):
+    path = _bad_lines(tmp_path, edit, line)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path!r} line {line}: ")):
         formats.read_feature_csv(path, 50.0)
 
 
