@@ -1,5 +1,5 @@
-"""scipy's filter and WAV code, reached without importing ``scipy.signal``,
-``scipy.ndimage`` or ``scipy.io``.
+"""scipy's filter, WAV and float-reading code, reached without importing
+``scipy.signal``, ``scipy.ndimage`` or ``scipy.io``.
 
 Importing any module of ``scipy.signal`` runs the package ``__init__``,
 which imports ``scipy.stats``, ``sparse``, ``linalg``, ``special`` and
@@ -27,12 +27,30 @@ must give the known values. If locating or loading a module fails, or the
 check does, the public ``scipy.signal`` or ``scipy.io.wavfile`` functions
 are bound instead: the same values, at the old import cost.
 
+``array_reader`` loads, on its first call, a fourth module:
+``scipy/io/_fast_matrix_market/_fmm_core`` (scipy 1.12 and later), whose
+compiled Matrix Market reader parses decimal text with fast_float's
+correctly rounded Eisel-Lemire method (Lemire, *Number Parsing at a
+Gigabyte per Second*, Software: Practice and Experience, 2021), so it
+gives ``float()``'s double for every decimal string. It is a pybind11
+module, which registers its types once per process: loaded under a name
+of its own, it would make a later ``scipy.io.mmread`` fail to import it
+again ("type ... is already registered"). So it is registered under its
+canonical name, ``scipy.io._fast_matrix_market._fmm_core``, still without
+importing its packages, and an entry scipy has already made there is used
+as it is. At load it must read known hard strings (subnormals, halfway
+cases, overflow to inf) as ``float()`` does; if it cannot be loaded or
+the check fails, ``array_reader`` gives None and the caller parses the
+text itself.
+
 ``forward_extremum`` takes the place of ``scipy.ndimage``'s
 ``minimum_filter1d`` and ``maximum_filter1d`` over forward windows.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
+import io
 import math
 import os
 import sys
@@ -172,28 +190,33 @@ def _kernels_pass_check(sigtools, upfirdn) -> bool:
             and out.tolist() == [1.0, 3.0, 5.0, 3.0])
 
 
-def _load(subpackage: str, name: str, suffixes: list[str]):
-    """scipy's ``subpackage/name`` module, from the first file with one of
+def _load(subpackage: str, name: str, suffixes: list[str],
+          canonical: bool = False):
+    """scipy's ``subpackage.name`` module, from the first file with one of
     ``suffixes``, loaded by file location and registered as
-    ``scoresync._name``, without running any ``__init__`` of scipy's
-    packages; ImportError if there is no such file.
+    ``scoresync._name`` (or, if ``canonical``, under its own name, where
+    an entry already there is returned as it is), without running any
+    ``__init__`` of scipy's packages; ImportError if there is no such file.
 
     A Cython module also registers itself under its own name while it
     loads. That entry is removed again unless it was there before: a later
     ``import scipy.signal`` would find the module in ``sys.modules`` and
     so never bind it as an attribute of its package.
     """
+    own_name = f"scipy.{subpackage}.{name}"
+    registered = own_name in sys.modules
+    if canonical and registered:
+        return sys.modules[own_name]
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("scipy is not installed")
-    own_name = f"scipy.{subpackage}.{name}"
-    registered = own_name in sys.modules
     for suffix in suffixes:
-        path = os.path.join(spec.submodule_search_locations[0], subpackage,
-                            name + suffix)
+        path = os.path.join(spec.submodule_search_locations[0],
+                            *subpackage.split("."), name + suffix)
         if os.path.isfile(path):
             module_spec = importlib.util.spec_from_file_location(
-                f"{__package__}._{name.lstrip('_')}", path)
+                own_name if canonical
+                else f"{__package__}._{name.lstrip('_')}", path)
             module = importlib.util.module_from_spec(module_spec)
             sys.modules[module_spec.name] = module
             try:
@@ -202,14 +225,16 @@ def _load(subpackage: str, name: str, suffixes: list[str]):
                 del sys.modules[module_spec.name]
                 raise
             finally:
-                if not registered:
+                if not registered and not canonical:
                     sys.modules.pop(own_name, None)
             return module
-    raise ImportError(f"scipy/{subpackage}/{name} not found")
+    raise ImportError(f"scipy/{subpackage.replace('.', '/')}/{name} "
+                      f"not found")
 
 
 # what a missing, moved or changed private module or kernel can raise
-_LOAD_ERRORS = (ImportError, OSError, AttributeError, TypeError, ValueError)
+_LOAD_ERRORS = (ImportError, OSError, AttributeError, TypeError, ValueError,
+                RuntimeError)
 
 
 def _bind_filters():
@@ -234,6 +259,54 @@ def _bind_wavfile():
     except _LOAD_ERRORS:
         from scipy.io import wavfile
         return wavfile
+
+
+# decimal strings a reader that is not correctly rounded can get wrong:
+# 2**53 + 1 and 1 + 2**-53 (ties to even), just past the latter, the
+# smallest subnormal and either side of half of it, either side of the
+# smallest normal, the largest finite double and past it, and past the
+# exponent range both ways
+_HARD_DECIMALS = (
+    "9007199254740993", "0.1",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "2.2250738585072011e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623159e308", "1e400", "1e-400")
+
+
+def _matrix_market_reader(fmm):
+    """``read(text, shape)`` on the kernel itself."""
+    def read(text: bytes, shape: tuple[int, int]) -> np.ndarray:
+        cursor = fmm.open_read_stream(io.BytesIO(
+            b"%%%%MatrixMarket matrix array real general\n%d %d\n" % shape
+            + text), 1)
+        # read_body_array adds the values into its target
+        out = np.zeros(shape)
+        fmm.read_body_array(cursor, out)
+        return out
+    return read
+
+
+@functools.cache
+def array_reader():
+    """``read(text, shape)``: the float64 array of ``shape`` whose values,
+    column by column, are the decimal numbers ``text`` holds one to a
+    line, each the double ``float()`` gives, read by scipy's compiled
+    Matrix Market reader; or None where that kernel cannot be loaded or
+    fails its check. Loaded on the first call only, so that the commands
+    that read no such text do not load it."""
+    try:
+        read = _matrix_market_reader(_load(
+            "io._fast_matrix_market", "_fmm_core",
+            importlib.machinery.EXTENSION_SUFFIXES, canonical=True))
+        values = read("\n".join(_HARD_DECIMALS).encode() + b"\n",
+                      (len(_HARD_DECIMALS), 1))
+        if values[:, 0].tolist() == [float(x) for x in _HARD_DECIMALS]:
+            return read
+    except _LOAD_ERRORS:
+        pass
+    return None
 
 
 def forward_extremum(ufunc: np.ufunc, values: np.ndarray, width: int,

@@ -290,8 +290,8 @@ def _frame_maxima(hop_maxima: np.ndarray, window_factor: int) -> np.ndarray:
 
 
 def _num_workers(num_tasks: int) -> int:
-    """One worker per core this process may run on, at most one per task:
-    a band group here, a row block of a feature CSV read in ``formats``."""
+    """One worker per core this process may run on, at most one per task
+    (a band group)."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:

@@ -18,16 +18,24 @@ positive normal doubles from about 1e-22 (6 digits) or 1e-10 (17
 digits) up to 1e6 or 1e15. A block holding any other value (-0.0, a
 negative, subnormal or non-finite value) or written at another precision
 is formatted by ``_format_rows``, one ``%`` per row, whose bytes the
-kernel's equal. Feature CSVs are read in blocks of whole lines: the
-reader splits the file at line ends about every ``_BLOCK_BYTES`` bytes,
-and each block is read and parsed from its own byte range
-(``_parsed_blocks``), so the parent never holds the text. When there are
-more than two blocks, more than one core, the ``fork`` start method and
-no other thread in the process, the blocks are parsed on a pool of one
-forked process per core; otherwise in process. A block that does not
+kernel's equal.
+
+Feature CSVs are read in this process, in blocks of whole lines: the
+reader splits the file at line ends about every ``_BLOCK_BYTES`` bytes
+and reads and parses one block at a time, so it never holds the whole
+text. A block whose lines are all ``width`` fields of the form
+``digits[.digits][e[+-]digits]``, each line ending in a newline, which
+one vectorized pass over its non-digit bytes checks (``_plain_rows``),
+is parsed by scipy's compiled, correctly rounded float reader
+(``_scipy.array_reader``) into one column per line, so the band rows
+come out contiguous. That kernel reads a number's longest valid prefix
+and drops the rest of its line, so the check is what keeps its values
+those of ``np.loadtxt``. Any other block (blank lines, spaces, CRLF line
+ends, signs, ``nan``, a bad line), and every block where scipy lacks the
+kernel (scipy < 1.12), is parsed by ``np.loadtxt``. A block that does not
 parse names its first bad line by its line in the file, whichever block
-it is and wherever it was parsed: only then are its lines parsed one by
-one and the lines before it counted (``_parse_range``).
+it is: only then are its lines parsed one by one and the lines before it
+counted (``_parse_range``).
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -37,14 +45,14 @@ pairs their rows by position, so the readers reject a row whose
 import io
 import json
 import math
-import threading
 import warnings
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
+from . import _scipy
 from .dp_align import AlignmentResult
-from .filterbank import Spectrogram, _num_workers
+from .filterbank import Spectrogram
 from .score import ScoreSequence
 from .synth_eval import ERROR_THRESHOLDS_MS, EvalReport
 
@@ -102,6 +110,46 @@ def _read_range(f, start: int, stop: int) -> bytes:
     return f.read(stop - start)
 
 
+# the rank of each byte that is not a digit in a field of a feature CSV
+# line: 0 for a field's end, 1 for its decimal point, 2 for its exponent
+# mark, 3 for the exponent's sign and 4 for a byte that has no place there
+_RANK = np.full(256, 4, dtype=np.uint8)
+_RANK[np.frombuffer(b",\n.e+-", np.uint8)] = [0, 0, 1, 2, 3, 3]
+
+
+def _plain_rows(text: bytes, width: int) -> int | None:
+    """The number of lines of ``text`` if every line ends in a newline and
+    is ``width`` comma-separated fields ``digits[.digits][e[+-]digits]``;
+    else None.
+
+    Checked over the bytes that are not digits, in order: the text starts
+    with a digit; no two of them are adjacent except an exponent mark and
+    its sign; a field's decimal point comes first among them and its
+    exponent mark before any other; and the newlines are the field ends
+    numbered ``width``, ``2 * width``, ...
+    """
+    b = np.frombuffer(text, dtype=np.uint8)
+    if not len(b) or b[-1] != ord("\n"):
+        return None
+    # the digits are the only bytes that wrap to 0 .. 9
+    at = np.flatnonzero(b - np.uint8(ord("0")) > 9)
+    c = b.take(at)
+    rank = _RANK.take(c)
+    adjacent = np.diff(at) == 1
+    signed = rank[1:] == 3
+    # the field ends up to each newline, that one included
+    ends = np.cumsum(rank == 0)[np.flatnonzero(c == ord("\n"))]
+    if (at[0] == 0 or rank.max() == 4 or rank[0] == 3
+            or np.any(adjacent & ((rank[:-1] != 2) | ~signed))
+            or np.any(signed & ~adjacent)
+            # within a field, a point or a mark after any other such byte
+            or np.any((rank[1:] > 0) & (rank[1:] <= rank[:-1]))
+            or not np.array_equal(
+                ends, np.arange(width, width * len(ends) + 1, width))):
+        return None
+    return len(ends)
+
+
 def _parse_rows(text: bytes, width: int) -> np.ndarray:
     """The rows of the CSV lines ``text``, ``width`` numbers each; blank
     lines are skipped, and any other line that is not such a row is a
@@ -118,24 +166,41 @@ def _parse_rows(text: bytes, width: int) -> np.ndarray:
     return rows
 
 
-def _parse_range(path: str, start: int, stop: int,
+def _kernel_columns(text: bytes, width: int) -> np.ndarray | None:
+    """The ``(width, lines)`` values of the CSV lines ``text``, read by
+    ``_scipy.array_reader`` if that kernel is loaded and ``_plain_rows``
+    accepts the text (checked only then); else None. Each value is the
+    double ``float()`` gives for its field, as ``np.loadtxt`` reads it."""
+    read = _scipy.array_reader()
+    rows = None if read is None else _plain_rows(text, width)
+    if rows is None:
+        return None
+    return read(text.replace(b",", b"\n"), (width, rows))
+
+
+def _parse_range(f, path: str, start: int, stop: int,
                  width: int) -> np.ndarray:
-    """``_parse_rows`` of bytes ``start`` .. ``stop`` of the file, which
-    start at a line start. When they do not parse, the ValueError names
-    the first of their lines that is not a row of ``width`` numbers by
-    its line in the file; the lines are parsed one by one, and the lines
-    before ``start`` counted, only on this error path."""
-    with open(path, "rb") as f:
-        text = _read_range(f, start, stop)
-        try:
-            return _parse_rows(text, width)
-        except ValueError:
-            # start is a line start, so the block's first line is 1 plus
-            # the newlines before it, counted a block at a time so that no
-            # more of the file is held than on the success path
-            first = 1 + sum(
-                _read_range(f, a, min(a + _BLOCK_BYTES, start)).count(b"\n")
-                for a in range(0, start, _BLOCK_BYTES))
+    """The ``(width, lines)`` values of bytes ``start`` .. ``stop`` of the
+    file ``f`` at ``path``, which start at a line start: by
+    ``_kernel_columns``, else by ``_parse_rows``. When they do not parse,
+    the ValueError names the first of their lines that is not a row of
+    ``width`` numbers by its line in the file; the lines are parsed one by
+    one, and the lines before ``start`` counted, only on this error
+    path."""
+    text = _read_range(f, start, stop)
+    columns = _kernel_columns(text, width)
+    if columns is not None:
+        return columns
+    try:
+        return _parse_rows(text, width).T
+    except ValueError:
+        pass
+    # start is a line start, so the block's first line is 1 plus the
+    # newlines before it, counted a block at a time so that no more of
+    # the file is held than on the success path
+    first = 1 + sum(
+        _read_range(f, a, min(a + _BLOCK_BYTES, start)).count(b"\n")
+        for a in range(0, start, _BLOCK_BYTES))
     for lineno, line in enumerate(text.split(b"\n"), first):
         try:
             _parse_rows(line, width)
@@ -149,37 +214,6 @@ def _parse_range(path: str, start: int, stop: int,
     # unreachable unless loadtxt disagrees with itself
     raise ValueError(f"{path!r}: the lines from line {first} on do not "
                      f"parse")
-
-
-def _parsed_blocks(path: str, bounds: list[int],
-                   width: int) -> Iterator[np.ndarray]:
-    """``_parse_range`` of each block between ``bounds``, in file order.
-
-    With more than two blocks, more than one core (``_num_workers``), the
-    ``fork`` start method and no other thread in this process, the blocks
-    are parsed on a pool of one forked process per core; otherwise in this
-    process. Forking keeps the workers from importing the package again,
-    and forking only a single-threaded process keeps them from inheriting
-    a lock another thread holds. An exception from a block propagates
-    once every worker has exited.
-    """
-    n = len(bounds) - 1
-    args = ([path] * n, bounds[:-1], bounds[1:], [width] * n)
-    workers = _num_workers(n)
-    if n > 2 and workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                yield from pool.map(_parse_range, *args)
-            finally:
-                # joins the workers; after an exception, drops the queued
-                # blocks
-                pool.shutdown(cancel_futures=True)
-            return
-    yield from map(_parse_range, *args)
 
 
 def _row_bounds(f, start: int) -> list[int]:
@@ -208,11 +242,14 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     ``frame`` column numbers them 0, 1, ...: row t is frame t. A line that
     is not such a row is named by its line number in the file.
 
-    The rows are parsed in blocks of whole lines, about ``_BLOCK_BYTES``
-    each, which ``_parsed_blocks`` yields in file order, from a pool of
-    forked processes or from this one. The parsed blocks are kept and
-    joined once. A block that does not parse raises, from the call that
-    parsed it (``_parse_range``), the error naming its first bad line.
+    The rows are read in this process in blocks of whole lines, about
+    ``_BLOCK_BYTES`` each. A block of plain decimal fields is parsed by
+    scipy's compiled float reader, and any other block, or every block
+    where that reader is missing, by ``np.loadtxt``; both give each field
+    the double ``float()`` gives it. The values come back as one column
+    per frame, joined once, so the band rows of ``values`` are contiguous.
+    A block that does not parse raises, from the call that parsed it
+    (``_parse_range``), the error naming its first bad line.
     """
     with open(path, "rb") as f:
         header = f.readline().decode().strip().split(",")
@@ -231,18 +268,20 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
             raise ValueError(f"{path!r}: band columns run past MIDI pitch "
                              f"127, got {header[-1]!r}")
         bounds = _row_bounds(f, f.tell())
-    rows = np.concatenate(list(_parsed_blocks(path, bounds, len(header))))
+        columns = np.concatenate(
+            [_parse_range(f, path, a, b, len(header))
+             for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
     # a header-only CSV has no rows
-    if rows.shape[0] == 0:
+    if columns.shape[1] == 0:
         raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
                          f"values after the header")
-    frames = rows[:, 0]
+    frames = columns[0]
     wrong = np.flatnonzero(frames != np.arange(len(frames)))
     if wrong.size:
         t = int(wrong[0])
         raise ValueError(f"{path!r}: frames must run 0, 1, ... one per row, "
                          f"but row {t} holds frame {frames[t]:g}")
-    values = rows[:, 1:].T
+    values = columns[1:]
     if not np.all(np.isfinite(values) & (values >= 0)):
         raise ValueError(f"{path!r}: feature values must be finite and "
                          f"non-negative")

@@ -3,14 +3,21 @@ per-group filterbank oracle, and an exhaustive path-enumeration oracle
 for the aligner."""
 
 import math
+import os
 import struct
 
 import numpy as np
+import scipy
 from scipy import signal
 
 from scoresync import (AlignmentParams, FeaturePair, ScoreOnset,
                        ScoreSequence, Spectrogram, TempoMap, band_edges,
                        design_bandpass)
+
+# scipy 1.12 and later ship the Matrix Market kernel that reads feature
+# CSVs (``scoresync._scipy.array_reader``)
+HAS_MATRIX_MARKET_KERNEL = os.path.isdir(os.path.join(
+    os.path.dirname(scipy.__file__), "io", "_fast_matrix_market"))
 
 # --- WAV construction -------------------------------------------------
 

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -263,13 +262,12 @@ class TestAlign:
                      "--sample-rate", "44100", "--out", wav]) == 0
         self._assert_dump_round_trip(wav, score_path, tmp_path)
 
-    def test_dump_on_a_process_pool_matches(self, piece, tmp_path,
-                                            monkeypatch, pools):
-        # blocks of 4 kB, so the dump spans many: aligning from it in
-        # process and on a pool of two equals aligning the audio
-        from scoresync import formats
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method")
+    def test_dump_read_by_kernel_and_fallback_matches(self, piece, tmp_path,
+                                                      monkeypatch):
+        # blocks of 4 kB, so the dump spans many: aligning from it with
+        # scipy's compiled float reader and with np.loadtxt alone equals
+        # aligning the audio
+        from scoresync import _scipy, formats
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
         raw = tmp_path / "raw.csv"
         direct = tmp_path / "direct.csv"
@@ -277,31 +275,23 @@ class TestAlign:
                      "--precision", "full", "--out", str(raw)]) == 0
         assert main(["align", "--audio", piece["wav"], "--score",
                      piece["score"], "--out", str(direct)]) == 0
-        for workers in (1, 2):
-            monkeypatch.setattr(formats, "_num_workers",
-                                lambda n, w=workers: min(n, w))
-            from_dump = tmp_path / f"from_dump{workers}.csv"
+        for path, reader in [("kernel", _scipy.array_reader),
+                             ("fallback", lambda: None)]:
+            monkeypatch.setattr(_scipy, "array_reader", reader)
+            from_dump = tmp_path / f"from_dump_{path}.csv"
             assert main(["align", "--features", str(raw), "--score",
                          piece["score"], "--out", str(from_dump)]) == 0
             assert from_dump.read_bytes() == direct.read_bytes()
-            # one worker reads in process, two build the pool
-            assert len(pools) == workers - 1
 
     def test_bad_row_in_a_late_block_names_its_line(self, piece, tmp_path,
-                                                    monkeypatch, capsys,
-                                                    pools):
-        # raised in the forked worker that parses the block
+                                                    monkeypatch, capsys):
         from scoresync import formats
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method")
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 4096)
-        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
         raw, lines = self._dump_rows(piece, tmp_path)
         line = len(lines) - 3
         lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",x"
         assert self._align_dump(piece, raw, lines) == EXIT_IO
         assert f"{str(raw)!r} line {line}: " in capsys.readouterr().err
-        assert len(pools) == 1
 
     def _dump_rows(self, piece, tmp_path):
         raw = tmp_path / "raw.csv"

@@ -1,25 +1,27 @@
 """Feature-CSV I/O in row blocks: the writer formats its blocks in
-process into the bytes of one ``%`` per row, whatever the number of cores;
-the pooled and the in-process reads give the values of one ``np.loadtxt``,
-name a bad row by its line in the file, and leave no worker process behind.
+process into the bytes of one ``%`` per row. The reader parses its blocks
+in process, by scipy's compiled float reader where a block is plain
+decimal fields and by ``np.loadtxt`` otherwise or where that kernel is
+missing; either way it gives the values of one ``np.loadtxt``, ``float()``
+of every field bit for bit, and names a bad row by its line in the file.
 The vectorized ``%g`` kernel gives the bytes of CPython's ``%`` on every
 block it formats, and the writer falls back to ``%`` only for a block
 holding a value outside the kernel's domain."""
 
-import concurrent.futures
 import io
 import multiprocessing
 import re
-import threading
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scoresync import Spectrogram, _gformat, formats
+from scoresync import Spectrogram, _gformat, _scipy, formats
+
+from helpers import HAS_MATRIX_MARKET_KERNEL
 
 WIDTH = 1 + 7  # the frame column and seven bands
 
@@ -32,19 +34,23 @@ def small_blocks(monkeypatch):
 
 
 @pytest.fixture
-def pooled(monkeypatch, small_blocks, pools):
-    """Two worker processes on any machine; fails a test that does not
-    reach the pool."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method")
-    monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-    yield
-    assert pools, "the blocks ran in process"
+def kernel(small_blocks):
+    """scipy's compiled float reader, where this scipy has it; fails
+    where scipy has it but it does not load or pass its check."""
+    if not HAS_MATRIX_MARKET_KERNEL:
+        pytest.skip("no scipy Matrix Market kernel (scipy < 1.12)")
+    assert _scipy.array_reader() is not None
 
 
 @pytest.fixture
-def in_process(monkeypatch, small_blocks):
-    monkeypatch.setattr(formats, "_num_workers", lambda n: 1)
+def fallback(monkeypatch, small_blocks):
+    """Every block parsed by ``np.loadtxt``, as where the kernel is
+    missing."""
+    monkeypatch.setattr(_scipy, "array_reader", lambda: None)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def _matrix(frames):
@@ -89,9 +95,7 @@ def _csv(tmp_path, text, newline="\n"):
 @pytest.mark.parametrize("precision", [6, "full"])
 class TestWriter:
     # 85 frames: five blocks of 16 and a ragged last block of 5
-    def test_two_cores_write_in_process(self, monkeypatch, small_blocks,
-                                        pools, precision):
-        monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
+    def test_write_in_process(self, small_blocks, precision):
         spectrogram = _matrix(85)
         assert _written(spectrogram, precision) == _per_row(spectrogram,
                                                             precision)
@@ -99,7 +103,6 @@ class TestWriter:
         spectrogram.values[2, 70] = "not a number"
         with pytest.raises(TypeError):
             _written(spectrogram, precision)
-        assert pools == []
         assert multiprocessing.active_children() == []
 
 
@@ -264,11 +267,20 @@ class TestFallback:
         assert fallbacks == [32]
 
 
+READ_PATHS = pytest.mark.parametrize("paths", ["kernel", "fallback"])
+# fields that scipy's reader would read as a prefix, or not at all, and
+# some np.loadtxt reads
+PITFALLS = ["1.2.3", "1.5x", "1e", "0x10", "1-2", "1e+", ".5", "5.", "e5",
+            "1E5", " 1", "nan", "inf", "-0", "+1", "1e--2", "1.e5"]
+
+
+@READ_PATHS
 class TestReader:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("tail", ["", "\n", "\n" * 2000])
-    def test_pooled_rows_equal_one_loadtxt(self, pooled, tmp_path, newline,
-                                           tail):
+    def test_rows_equal_one_loadtxt(self, request, paths, tmp_path, newline,
+                                    tail):
+        request.getfixturevalue(paths)
         # "" drops the last newline; 2,000 blank lines fill whole blocks
         text = _per_row(_matrix(85), "full")
         path = _csv(tmp_path, text[:-1] + tail, newline)
@@ -276,13 +288,16 @@ class TestReader:
         assert np.array_equal(values, _loadtxt(path))
         assert np.array_equal(values, _matrix(85).values)
 
-    def test_in_process_rows_equal_one_loadtxt(self, in_process, tmp_path):
+    def test_default_precision_rows_equal_one_loadtxt(self, request, paths,
+                                                      tmp_path):
+        request.getfixturevalue(paths)
         path = _csv(tmp_path, _per_row(_matrix(85), 6))
         assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
                               _loadtxt(path))
 
-    def test_block_boundary_on_a_row_end(self, pooled, monkeypatch,
+    def test_block_boundary_on_a_row_end(self, request, paths, monkeypatch,
                                          tmp_path):
+        request.getfixturevalue(paths)
         text = _per_row(_matrix(85), "full")
         header, *rows = text.splitlines(keepends=True)
         block = len("".join(rows[:3]).encode())
@@ -295,6 +310,123 @@ class TestReader:
         assert bounds[:2] == [start, start + block]
         assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
                               _loadtxt(path))
+
+
+class TestKernelRead:
+    """The compiled reader's values are ``float()``'s, it takes every
+    block the writer makes, and the check in front of it declines every
+    block it would read otherwise than ``np.loadtxt``: it reads a
+    number's longest valid prefix and drops the rest of its line."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch, kernel):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("precision", [6, "full"])
+    def test_every_block_of_a_dump_takes_the_kernel(self, loadtxt_calls,
+                                                    tmp_path, precision):
+        path = _csv(tmp_path, _written(_matrix(85), precision))
+        with open(path, "rb") as f:
+            f.readline()
+            assert len(formats._row_bounds(f, f.tell())) > 5
+        values = formats.read_feature_csv(path, 50.0).values
+        assert loadtxt_calls == []
+        assert np.array_equal(values, _loadtxt(path))
+        assert values.flags.c_contiguous
+        if precision == "full":
+            assert np.array_equal(_bits(values), _bits(_matrix(85).values))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_values_are_float_of_every_field(self, kernel, tmp_path, data):
+        extremes = st.sampled_from([0.0, 5e-324, LARGEST_SUBNORMAL,
+                                    SMALLEST_NORMAL, LARGEST, 1e300,
+                                    2.2250738585072014e-308 / 3])
+        values = data.draw(arrays(
+            np.float64, st.tuples(st.integers(1, 5), st.integers(1, 60)),
+            elements=st.one_of(extremes, st.floats(
+                0.0, LARGEST, allow_subnormal=True))))
+        precision = data.draw(st.sampled_from([6, "full"]))
+        text = _written(Spectrogram(values=values, frame_rate=50.0,
+                                    midi_low=40), precision)
+        path = _csv(tmp_path, text)
+        expected = [[float(x) for x in line.split(",")[1:]]
+                    for line in text.splitlines()[1:]]
+        assert np.array_equal(
+            _bits(formats.read_feature_csv(path, 50.0).values),
+            _bits(expected).T)
+
+    def test_single_byte_edits_decline_or_equal_loadtxt(self, kernel):
+        text = _per_row(_matrix(85), "full").encode()
+        # frames 3, 40, 41 and 50: a subnormal, the largest double, 1e300
+        # and zeros, so the block holds every kind of byte a field can
+        lines = text.splitlines(keepends=True)
+        block = b"".join(lines[1 + t] for t in (3, 40, 41, 50))
+        declined = 0
+        for at in range(len(block)):
+            for byte in b".e-+,\n x":
+                edited = block[:at] + bytes([byte]) + block[at + 1:]
+                columns = formats._kernel_columns(edited, WIDTH)
+                if columns is None:
+                    declined += 1
+                    continue
+                rows = np.loadtxt(io.StringIO(edited.decode()),
+                                  delimiter=",", ndmin=2)
+                assert np.array_equal(_bits(columns), _bits(rows.T)), edited
+        # most edits break a field
+        assert declined > len(block) * 4
+
+    @pytest.mark.parametrize("field", PITFALLS)
+    @pytest.mark.parametrize("column", [0, 4])
+    def test_kernel_prefix_pitfalls_are_declined(self, kernel, field,
+                                                 column):
+        # column 0 of the first line is the first byte of the block
+        lines = _per_row(_matrix(85), "full").encode().splitlines(
+            keepends=True)[1:4]
+        fields = lines[0].split(b",")
+        fields[column] = field.encode()
+        lines[0] = b",".join(fields)
+        assert formats._kernel_columns(b"".join(lines), WIDTH) is None
+
+    @pytest.mark.parametrize("field", PITFALLS)
+    def test_pitfalls_read_as_loadtxt_reads_them(self, kernel, tmp_path,
+                                                 field):
+        path = _bad_lines(tmp_path, _with_field(field), 5)
+        try:
+            expected = _loadtxt(path)
+        except ValueError:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path!r} line 5: ")):
+                formats.read_feature_csv(path, 50.0)
+            return
+        if not (np.all(np.isfinite(expected)) and np.all(expected >= 0)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                formats.read_feature_csv(path, 50.0)
+            return
+        assert np.array_equal(
+            _bits(formats.read_feature_csv(path, 50.0).values),
+            _bits(expected))
+
+    def test_lines_that_are_not_whole_rows_are_declined(self, kernel):
+        lines = _per_row(_matrix(85), "full").encode().splitlines(
+            keepends=True)[1:4]
+        # one line a value long and the next a value short: the block
+        # holds as many values as three rows
+        ragged = list(lines)
+        ragged[0] = ragged[0][:-1] + b",0.5\n"
+        ragged[1] = ragged[1].rsplit(b",", 1)[0] + b"\n"
+        text = b"".join(lines)
+        for block in [b"".join(ragged), text[:-1], text + b"\n", b""]:
+            assert formats._kernel_columns(block, WIDTH) is None
 
 
 def _bad_lines(tmp_path, edit, line):
@@ -316,7 +448,7 @@ def _with_field(value):
                                   lambda row: row.rsplit(",", 1)[0],
                                   lambda row: row + ",0.5"],
                          ids=["word", "empty", "short", "long"])
-@pytest.mark.parametrize("paths", ["pooled", "in_process"])
+@READ_PATHS
 # line 2, the first row, is in block 0, which starts after the header
 @pytest.mark.parametrize("line", [2, 80])
 def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
@@ -328,8 +460,10 @@ def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
         formats.read_feature_csv(path, 50.0)
 
 
-def test_block_narrower_than_the_header_names_its_first_line(pooled,
+@READ_PATHS
+def test_block_narrower_than_the_header_names_its_first_line(request, paths,
                                                              tmp_path):
+    request.getfixturevalue(paths)
     # every row of the last blocks is one value short, so those blocks
     # parse on their own and only their width is wrong
     text = _per_row(_matrix(85), "full")
@@ -346,35 +480,3 @@ def test_block_narrower_than_the_header_names_its_first_line(pooled,
             f"{path!r} line {line}: expected a row of {WIDTH} "
             f"comma-separated numbers, got {WIDTH - 1} values")):
         formats.read_feature_csv(path, 50.0)
-
-
-def test_runs_in_process_beside_another_thread(monkeypatch, small_blocks,
-                                               tmp_path):
-    # a forked child would inherit any lock the other thread holds
-    monkeypatch.setattr(formats, "_num_workers", lambda n: min(n, 2))
-    # fails if called
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-    path = _csv(tmp_path, _per_row(_matrix(85), "full"))
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(60,))
-    other.start()
-    try:
-        assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
-                              _matrix(85).values)
-    finally:
-        release.set()
-        other.join(timeout=60)
-    assert not other.is_alive()
-
-
-class TestNoWorkerOutlivesTheCall:
-    def test_read(self, pooled, tmp_path):
-        formats.read_feature_csv(
-            _csv(tmp_path, _per_row(_matrix(85), 6)), 50.0)
-        assert multiprocessing.active_children() == []
-
-    def test_read_whose_worker_raises(self, pooled, tmp_path):
-        path = _bad_lines(tmp_path, _with_field("abc"), 80)
-        with pytest.raises(ValueError):
-            formats.read_feature_csv(path, 50.0)
-        assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 """scipy's kernels reached without the scipy.signal/ndimage/io packages
 (``scoresync._scipy``) against their public counterparts, the fallback to
-those counterparts, and the imports a command leaves behind."""
+those counterparts, the imports a command leaves behind, and scipy's
+Matrix Market reader beside ``scipy.io``'s own use of it."""
 
 import json
 import math
@@ -18,6 +19,8 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 import scoresync
 from scoresync import (FilterbankConfig, _scipy, cli, compute_spectrogram,
                        design_filterbank, filterbank, load_wav)
+
+from helpers import HAS_MATRIX_MARKET_KERNEL
 
 SAMPLE_RATES = [8000, 11025, 16000, 22050, 44100, 48000, 96000]
 
@@ -234,12 +237,16 @@ class TestFallback:
 _IMPORT_GUARD = """
 import json, os, sys
 import numpy
+# the feature-CSV reader parses in process: no pool module is loaded
 heavy = ["scipy.signal", "scipy.ndimage", "scipy.io", "scipy.special",
-         "scipy.stats", "numpy.ma", "numpy.random"]
+         "scipy.stats", "numpy.ma", "numpy.random", "multiprocessing",
+         "concurrent.futures.process"]
 # numpy 1.x loads numpy.random on its own import
 eager_random = "numpy.random" in sys.modules
-from scoresync import cli
+from scoresync import cli, formats
 seen = {"import": [m for m in heavy if m in sys.modules]}
+# read blocks of 4 kB, so that the short dump spans many, as a long one does
+formats._BLOCK_BYTES = 4096
 work = sys.argv[1]
 score = os.path.join(work, "score.json")
 wav, dump = os.path.join(work, "piece.wav"), os.path.join(work, "d.csv")
@@ -316,3 +323,84 @@ def test_scipy_signal_imported_later_binds_its_kernel_module():
     result = _run_python(_LATER_SCIPY_SIGNAL)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+_MMREAD_BESIDE_THE_READER = """
+import io, os, sys
+from scoresync import _scipy, cli
+work, order = sys.argv[1:]
+score = os.path.join(work, "score.json")
+dump = os.path.join(work, "d.csv")
+align = ["align", "--features", dump, "--score", score, "--frame-rate",
+         "50.0", "--out", os.path.join(work, order + ".csv")]
+text = b"%%MatrixMarket matrix array real general\\n2 1\\n1.5\\n2.5\\n"
+if order == "mmread-first":
+    import scipy.io
+    assert scipy.io.mmread(io.BytesIO(text)).tolist() == [[1.5], [2.5]]
+assert cli.main(align) == 0
+kernel = sys.modules.get("scipy.io._fast_matrix_market._fmm_core")
+assert (kernel is None) == (_scipy.array_reader() is None)
+if order == "reader-first":
+    assert "scipy.io" not in sys.modules, "scipy.io was imported"
+    import scipy.io
+assert scipy.io.mmread(io.BytesIO(text)).tolist() == [[1.5], [2.5]]
+# scipy's own reader and this one are the one module
+assert sys.modules.get("scipy.io._fast_matrix_market._fmm_core") is kernel
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["reader-first", "mmread-first"])
+def test_scipy_io_mmread_beside_the_csv_reader(tmp_path, order):
+    # the Matrix Market kernel is a pybind11 module, whose types register
+    # once per process: under another name, a later mmread would fail
+    score = tmp_path / "score.json"
+    score.write_text(json.dumps(
+        [{"beat": b, "pitches": [60 + b % 5, 67]} for b in range(8)]))
+    wav = tmp_path / "piece.wav"
+    _run_cli(["synth", "--score", str(score), "--tempo", "0:120", "--seed",
+              "1"], wav)
+    _run_cli(["features", "--audio", str(wav), "--feature", "raw",
+              "--precision", "full"], tmp_path / "d.csv")
+    result = _run_python(_MMREAD_BESIDE_THE_READER, str(tmp_path), order)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
+
+
+class TestArrayReader:
+    """scipy's compiled float reader, loaded on first use; None where it
+    cannot be loaded or fails its check of hard decimal strings."""
+
+    @pytest.fixture
+    def read(self):
+        if not HAS_MATRIX_MARKET_KERNEL:
+            pytest.skip("no scipy Matrix Market kernel (scipy < 1.12)")
+        read = _scipy.array_reader()
+        assert read is not None
+        return read
+
+    def test_values_fill_the_shape_column_by_column(self, read):
+        values = read(b"1\n2\n3\n4\n5\n6\n", (2, 3))
+        assert values.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+        assert values.flags.c_contiguous
+
+    def test_each_read_starts_from_zero(self, read):
+        # the kernel adds into its target; a reused, unzeroed buffer would
+        # carry the previous read's values
+        for _ in range(5):
+            values = read(b"0.25\n" * 32, (8, 4))
+            assert values.tolist() == [[0.25] * 4] * 8
+            del values
+
+    @pytest.mark.parametrize("broken", ["missing", "wrong values"])
+    def test_gives_none_when_the_kernel_fails(self, monkeypatch, broken):
+        def load(subpackage, name, suffixes, canonical=False):
+            if broken == "missing":
+                raise ImportError(f"no {name}")
+            # leaves its target zero
+            return types.SimpleNamespace(
+                open_read_stream=lambda stream, parallelism: None,
+                read_body_array=lambda cursor, out: None)
+
+        monkeypatch.setattr(_scipy, "_load", load)
+        assert _scipy.array_reader.__wrapped__() is None
