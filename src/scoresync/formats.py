@@ -20,22 +20,23 @@ negative, subnormal or non-finite value) or written at another precision
 is formatted by ``_format_rows``, one ``%`` per row, whose bytes the
 kernel's equal.
 
-Feature CSVs are read in this process, in blocks of whole lines: the
-reader splits the file at line ends about every ``_BLOCK_BYTES`` bytes
-and reads and parses one block at a time, so it never holds the whole
-text. A block whose lines are all ``width`` fields of the form
-``digits[.digits][e[+-]digits]``, each line ending in a newline, which
-one vectorized pass over its non-digit bytes checks (``_plain_rows``),
-is parsed by scipy's compiled, correctly rounded float reader
-(``_scipy.array_reader``) into one column per line, so the band rows
-come out contiguous. That kernel reads a number's longest valid prefix
-and drops the rest of its line, so the check is what keeps its values
-those of ``np.loadtxt``. Any other block (blank lines, spaces, CRLF line
-ends, signs, ``nan``, a bad line), and every block where scipy lacks the
-kernel (scipy < 1.12), is parsed by ``np.loadtxt``. A block that does not
-parse names its first bad line by its line in the file, whichever block
-it is: only then are its lines parsed one by one and the lines before it
-counted (``_parse_range``).
+Feature CSVs are read in this process, front to back in one loop over
+blocks of whole lines: a block is the next ``_BLOCK_BYTES`` bytes and the
+rest of the line they end in, so the reader never holds the whole text,
+never seeks, and reads a pipe as it reads a file. A block whose lines
+are all ``width`` fields of the form ``digits[.digits][e[+-]digits]``,
+each line ending in a newline, which one vectorized pass over its
+non-digit bytes checks and counts (``_plain_rows``), is parsed by scipy's
+compiled, correctly rounded float reader (``_scipy.array_reader``) into
+one column per line, so the band rows come out contiguous. That kernel
+reads a number's longest valid prefix and drops the rest of its line, so
+the check is what keeps its values those of ``np.loadtxt``. Any other
+block (blank lines, spaces, CRLF line ends, signs, ``nan``, a bad line),
+and every block where scipy lacks the kernel (scipy < 1.12), is parsed
+by ``np.loadtxt``, and its newlines counted. The loop carries each
+block's first line number, so a block that does not parse names its
+first bad line by its line in the file, whichever block it is: only then
+are its lines parsed one by one (``_parse_block``).
 
 Alignment and truth CSVs carry a ``score_index`` column, and ``eval``
 pairs their rows by position, so the readers reject a row whose
@@ -103,11 +104,6 @@ def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
         rows = values[:, t0:t0 + _BLOCK_ROWS].T
         text = _gformat.format_rows(t0, rows, digits)
         out.write(_format_rows(line, t0, rows) if text is None else text)
-
-
-def _read_range(f, start: int, stop: int) -> bytes:
-    f.seek(start)
-    return f.read(stop - start)
 
 
 # the rank of each byte that is not a digit in a field of a feature CSV
@@ -178,29 +174,23 @@ def _kernel_columns(text: bytes, width: int) -> np.ndarray | None:
     return read(text.replace(b",", b"\n"), (width, rows))
 
 
-def _parse_range(f, path: str, start: int, stop: int,
-                 width: int) -> np.ndarray:
-    """The ``(width, lines)`` values of bytes ``start`` .. ``stop`` of the
-    file ``f`` at ``path``, which start at a line start: by
-    ``_kernel_columns``, else by ``_parse_rows``. When they do not parse,
-    the ValueError names the first of their lines that is not a row of
-    ``width`` numbers by its line in the file; the lines are parsed one by
-    one, and the lines before ``start`` counted, only on this error
-    path."""
-    text = _read_range(f, start, stop)
+def _parse_block(text: bytes, width: int, path: str,
+                 first: int) -> tuple[np.ndarray, int]:
+    """The ``(width, lines)`` values of the CSV lines ``text``, whose first
+    line is line ``first`` of the file at ``path``, and the number of
+    newlines in ``text``: by ``_kernel_columns``, else by ``_parse_rows``.
+    When they do not parse, the ValueError names the first of their lines
+    that is not a row of ``width`` numbers by its line in the file; the
+    lines are parsed one by one only on this error path."""
     columns = _kernel_columns(text, width)
     if columns is not None:
-        return columns
+        # _plain_rows took every line, each ending in a newline, as a row
+        return columns, columns.shape[1]
     try:
-        return _parse_rows(text, width).T
+        # loadtxt skips blank lines, so its rows do not count the lines
+        return _parse_rows(text, width).T, text.count(b"\n")
     except ValueError:
         pass
-    # start is a line start, so the block's first line is 1 plus the
-    # newlines before it, counted a block at a time so that no more of
-    # the file is held than on the success path
-    first = 1 + sum(
-        _read_range(f, a, min(a + _BLOCK_BYTES, start)).count(b"\n")
-        for a in range(0, start, _BLOCK_BYTES))
     for lineno, line in enumerate(text.split(b"\n"), first):
         try:
             _parse_rows(line, width)
@@ -216,22 +206,6 @@ def _parse_range(f, path: str, start: int, stop: int,
                      f"parse")
 
 
-def _row_bounds(f, start: int) -> list[int]:
-    """Byte offsets that split the file ``f`` from ``start`` to its end
-    into blocks of whole lines, a block ending at the first line end at
-    or after every ``_BLOCK_BYTES`` bytes (the last block at the end of
-    the file)."""
-    size = f.seek(0, io.SEEK_END)
-    bounds = [start]
-    while bounds[-1] + _BLOCK_BYTES < size:
-        f.seek(bounds[-1] + _BLOCK_BYTES - 1)
-        f.readline()
-        if f.tell() == size:
-            break
-        bounds.append(f.tell())
-    return bounds + [size]
-
-
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
@@ -242,14 +216,16 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     ``frame`` column numbers them 0, 1, ...: row t is frame t. A line that
     is not such a row is named by its line number in the file.
 
-    The rows are read in this process in blocks of whole lines, about
-    ``_BLOCK_BYTES`` each. A block of plain decimal fields is parsed by
-    scipy's compiled float reader, and any other block, or every block
-    where that reader is missing, by ``np.loadtxt``; both give each field
-    the double ``float()`` gives it. The values come back as one column
-    per frame, joined once, so the band rows of ``values`` are contiguous.
-    A block that does not parse raises, from the call that parsed it
-    (``_parse_range``), the error naming its first bad line.
+    The rows are read in this process front to back, with no seek, so
+    ``path`` may be a pipe such as ``/dev/stdin``: each block is the next
+    ``_BLOCK_BYTES`` bytes and the rest of the line they end in. A block
+    of plain decimal fields is parsed by scipy's compiled float reader,
+    and any other block, or every block where that reader is missing, by
+    ``np.loadtxt``; both give each field the double ``float()`` gives it.
+    The values come back as one column per frame, joined once, so the
+    band rows of ``values`` are contiguous. A block that does not parse
+    raises, from the call that parsed it (``_parse_block``), the error
+    naming its first bad line by the line number the loop carries.
     """
     with open(path, "rb") as f:
         header = f.readline().decode().strip().split(",")
@@ -267,11 +243,25 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         if midi_low + len(header) - 2 > 127:
             raise ValueError(f"{path!r}: band columns run past MIDI pitch "
                              f"127, got {header[-1]!r}")
-        bounds = _row_bounds(f, f.tell())
-        columns = np.concatenate(
-            [_parse_range(f, path, a, b, len(header))
-             for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
-    # a header-only CSV has no rows
+        # the rows start on line 2; a header-only CSV has no columns
+        columns, first = [np.empty((len(header), 0))], 2
+        while True:
+            # the next _BLOCK_BYTES bytes and the rest of the line they end
+            # in, in one buffer that the line extends in place: joining two
+            # bytes objects would copy the block into a new allocation
+            text = bytearray(_BLOCK_BYTES)
+            del text[f.readinto(text):]
+            text += f.readline()
+            if not text:
+                break
+            block, lines = _parse_block(text, len(header), path, first)
+            columns.append(block)
+            first += lines
+            # dropped now, so that the next read does not hold it too
+            del text
+    # joined in place of the list of blocks, so that the checks below
+    # do not hold the values twice
+    columns = np.concatenate(columns, axis=1)
     if columns.shape[1] == 0:
         raise ValueError(f"{path!r}: expected frame rows of {len(header)} "
                          f"values after the header")

@@ -3,14 +3,17 @@ process into the bytes of one ``%`` per row. The reader parses its blocks
 in process, by scipy's compiled float reader where a block is plain
 decimal fields and by ``np.loadtxt`` otherwise or where that kernel is
 missing; either way it gives the values of one ``np.loadtxt``, ``float()``
-of every field bit for bit, and names a bad row by its line in the file.
+of every field bit for bit, reads a pipe front to back as it reads a
+file, and names a bad row by its line in the file.
 The vectorized ``%g`` kernel gives the bytes of CPython's ``%`` on every
 block it formats, and the writer falls back to ``%`` only for a block
 holding a value outside the kernel's domain."""
 
 import io
 import multiprocessing
+import os
 import re
+import threading
 from decimal import Decimal
 
 import numpy as np
@@ -47,6 +50,21 @@ def fallback(monkeypatch, small_blocks):
     """Every block parsed by ``np.loadtxt``, as where the kernel is
     missing."""
     monkeypatch.setattr(_scipy, "array_reader", lambda: None)
+
+
+@pytest.fixture
+def block_texts(monkeypatch):
+    """The text of every block the reader parses, in order, recorded by
+    a spy on ``formats._parse_block``."""
+    texts = []
+    parse_block = formats._parse_block
+
+    def spy(text, *args):
+        texts.append(text)
+        return parse_block(text, *args)
+
+    monkeypatch.setattr(formats, "_parse_block", spy)
+    return texts
 
 
 def _bits(values):
@@ -296,20 +314,19 @@ class TestReader:
                               _loadtxt(path))
 
     def test_block_boundary_on_a_row_end(self, request, paths, monkeypatch,
-                                         tmp_path):
+                                         tmp_path, block_texts):
         request.getfixturevalue(paths)
         text = _per_row(_matrix(85), "full")
-        header, *rows = text.splitlines(keepends=True)
-        block = len("".join(rows[:3]).encode())
+        header, *rows = text.encode().splitlines(keepends=True)
+        block = len(b"".join(rows[:3]))
         monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
         path = _csv(tmp_path, text)
-        with open(path, "rb") as f:
-            start = len(header)
-            bounds = formats._row_bounds(f, start)
-        # the first block ends exactly where its third row ends
-        assert bounds[:2] == [start, start + block]
-        assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
-                              _loadtxt(path))
+        values = formats.read_feature_csv(path, 50.0).values
+        # the first block's read ends exactly where its third row ends, so
+        # the line it finishes is the whole fourth row
+        assert block_texts[0] == b"".join(rows[:4])
+        assert b"".join(block_texts) == b"".join(rows)
+        assert np.array_equal(values, _loadtxt(path))
 
 
 class TestKernelRead:
@@ -332,12 +349,11 @@ class TestKernelRead:
 
     @pytest.mark.parametrize("precision", [6, "full"])
     def test_every_block_of_a_dump_takes_the_kernel(self, loadtxt_calls,
-                                                    tmp_path, precision):
+                                                    tmp_path, precision,
+                                                    block_texts):
         path = _csv(tmp_path, _written(_matrix(85), precision))
-        with open(path, "rb") as f:
-            f.readline()
-            assert len(formats._row_bounds(f, f.tell())) > 5
         values = formats.read_feature_csv(path, 50.0).values
+        assert len(block_texts) >= 5
         assert loadtxt_calls == []
         assert np.array_equal(values, _loadtxt(path))
         assert values.flags.c_contiguous
@@ -462,16 +478,19 @@ def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
 
 @READ_PATHS
 def test_block_narrower_than_the_header_names_its_first_line(request, paths,
-                                                             tmp_path):
+                                                             tmp_path,
+                                                             block_texts):
     request.getfixturevalue(paths)
     # every row of the last blocks is one value short, so those blocks
     # parse on their own and only their width is wrong
     text = _per_row(_matrix(85), "full")
     path = _csv(tmp_path, text)
-    with open(path, "rb") as f:
-        bounds = formats._row_bounds(f, len(text.splitlines()[0]) + 1)
-    head = text.encode()[:bounds[3]]
-    tail = text.encode()[bounds[3]:].decode().splitlines()
+    formats.read_feature_csv(path, 50.0)
+    assert len(block_texts) > 3
+    # the header and the first three blocks, which the edit leaves alone
+    head = text.encode()[:len(text.splitlines()[0]) + 1
+                         + len(b"".join(block_texts[:3]))]
+    tail = text.encode()[len(head):].decode().splitlines()
     with open(path, "wb") as f:
         f.write(head + "".join(row.rsplit(",", 1)[0] + "\n"
                                for row in tail).encode())
@@ -480,3 +499,65 @@ def test_block_narrower_than_the_header_names_its_first_line(request, paths,
             f"{path!r} line {line}: expected a row of {WIDTH} "
             f"comma-separated numbers, got {WIDTH - 1} values")):
         formats.read_feature_csv(path, 50.0)
+
+
+@READ_PATHS
+@pytest.mark.parametrize("block", [512, 16], ids=["blocks", "below_a_line"])
+def test_line_numbers_count_blank_lines_loadtxt_skips(request, paths,
+                                                      monkeypatch, tmp_path,
+                                                      block):
+    request.getfixturevalue(paths)
+    monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
+    # three blank lines after file line 3, in the first block: np.loadtxt
+    # gives no row for them, but the file lines after them count them
+    lines = _per_row(_matrix(85), "full").splitlines()
+    lines[3:3] = [""] * 3
+    path = _csv(tmp_path, "\n".join(lines) + "\n")
+    assert np.array_equal(formats.read_feature_csv(path, 50.0).values,
+                          _matrix(85).values)
+    line = 75
+    lines[line - 1] = _with_field("x")(lines[line - 1])
+    path = _csv(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path!r} line {line}: expected a row of {WIDTH} "
+            f"comma-separated numbers")):
+        formats.read_feature_csv(path, 50.0)
+
+
+def _read_from_pipe(data):
+    """``read_feature_csv`` of ``/dev/fd/<n>``, the read end of a pipe
+    that a thread fills with ``data``."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with open(w, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass  # the reader stopped before the end
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return formats.read_feature_csv(f"/dev/fd/{r}", 50.0)
+    finally:
+        # with no read end left open, a blocked writer gets EPIPE
+        os.close(r)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+@READ_PATHS
+def test_read_from_a_pipe(request, paths, tmp_path):
+    request.getfixturevalue(paths)
+    text = _per_row(_matrix(85), "full")
+    expected = formats.read_feature_csv(_csv(tmp_path, text), 50.0).values
+    assert np.array_equal(_read_from_pipe(text.encode()).values, expected)
+    # a block is 512 bytes and the rest of a line, and a line about 170
+    # bytes, so line 80 is many blocks in
+    line = 80
+    lines = text.splitlines()
+    lines[line - 1] = _with_field("x")(lines[line - 1])
+    with pytest.raises(ValueError, match=r"'/dev/fd/\d+' line "
+                                         rf"{line}: expected a row of "):
+        _read_from_pipe(("\n".join(lines) + "\n").encode())
