@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-# Chebyshev coefficients of Cephes' i0: exp(-x) i0(x) on [0, 8] ...
+# Chebyshev coefficients of Cephes' i0: exp(-x) i0(x) on [0, 8]
 _I0_A = (
     -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
     1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
@@ -69,17 +69,6 @@ _I0_A = (
     0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
     -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
     0.17162090152220877, -0.3046826723431984, 0.6767952744094761)
-# ... and sqrt(x) exp(-x) i0(x) on (8, inf), in 32 / x - 2
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088)
 
 
 def _chbevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
@@ -93,19 +82,16 @@ def _chbevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
 
 
 def i0(x) -> np.ndarray:
-    """Modified Bessel function of order 0, equal to ``scipy.special.i0``
-    float for float where ``exp(|x|)`` is finite (``|x|`` up to about
-    709; ``math.exp`` raises OverflowError past it): Cephes' two Chebyshev
-    branches with the same operations, and ``exp`` from the C library per
-    element (numpy's own ``exp`` can differ in the last bit)."""
+    """Modified Bessel function of order 0 for ``|x| <= 8``, equal to
+    ``scipy.special.i0`` float for float: Cephes' Chebyshev branch for
+    that range with the same operations, and ``exp`` from the C library
+    per element (numpy's own ``exp`` can differ in the last bit). Kaiser
+    windows of beta up to 8 need no more; ValueError past 8."""
     x = np.abs(np.asarray(x, dtype=np.float64))
+    if np.any(x > 8.0):
+        raise ValueError("i0 is implemented for |x| <= 8 only")
     out = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    small = x <= 8.0
-    out[small] *= _chbevl(x[small] / 2.0 - 2.0, _I0_A)
-    large = x[~small]
-    out[~small] = out[~small] * _chbevl(32.0 / large - 2.0, _I0_B) / np.sqrt(
-        large)
-    return out
+    return out * _chbevl(x / 2.0 - 2.0, _I0_A)
 
 
 def firwin_kaiser(numtaps: int, cutoff: float, beta: float) -> np.ndarray:

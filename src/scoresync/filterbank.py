@@ -34,9 +34,15 @@ run scipy's own polyphase and ``lfilter`` kernels, reached through
 The distinct hops form a resample cascade, the input its first level
 (``_resample_levels``, which designs and lays out each level's FIR once),
 and the recording streams through it ``_BLOCK_HOPS`` input hops at a time
-(``_block_signals``): each level's window of a block is resampled from a
-window of the level above that reaches as far as ``resample_poly``'s
-filter does, so it equals that slice of the whole-signal resample. Each
+(``_block_signals``) in whole hops. Hop t of a level starts at sample
+``t * hop``, and hop t of its parent at a multiple of the resample's
+``down``, so a parent window that starts on a hop is resampled onto the
+filter phases of the whole signal, its first output sample the child's
+sample at that hop. Each level's window of a block is the block's hops
+and ``margin`` hops more on each side: none for the bottom level, and
+for each level above it enough more to cover the reach of its child's
+``resample_poly`` filter. The margins are computed once per call, and
+each level's block equals that slice of the whole-signal resample. Each
 band filters its group's window of the block from the lfilter state the
 previous block left, so its filtered samples are those of a single pass
 over the whole group signal, and reduces it to per-hop maxima
@@ -76,6 +82,7 @@ frame/seconds conversions use the effective rate ``sample_rate / hop``,
 so sample rates that do not divide evenly stay exact.
 """
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -321,8 +328,8 @@ def _band_groups(config: FilterbankConfig, hop: int,
 
 
 def _resample_levels(hops: list[int]) -> list[tuple]:
-    """``(hop, up, down, resample)`` of each level of the resample cascade,
-    given its hops in falling order: level 0 is the input (no
+    """``(hop, up, down, resample, margin)`` of each level of the resample
+    cascade, given its hops in falling order: level 0 is the input (no
     ``resample``), and level k is level k - 1 resampled by ``up / down =
     hops[k] / hops[k - 1]`` in lowest terms through ``resample``, which
     equals ``scipy.signal.resample_poly(x, up, down)``.
@@ -333,15 +340,23 @@ def _resample_levels(hops: list[int]) -> list[tuple]:
     designed once here by ``_scipy.firwin_kaiser``, and
     ``_scipy.resampler`` scales, pads and transposes it once, so a block
     costs one polyphase kernel call per level.
+
+    ``margin`` is the number of hops a level's window of a block reaches
+    past the block on each side (``_block_signals``): 0 for the bottom
+    level, and for each level above it the margin of its child plus the
+    child's filter reach, ``len(fir) // 2 // up + 2`` of this level's
+    samples, in whole hops of this level.
     """
-    levels = [(hops[0], 1, 1, None)]
+    levels, reaches = [(hops[0], 1, 1, None)], []
     for parent, hop in zip(hops, hops[1:]):
         g = math.gcd(hop, parent)
         up, down = hop // g, parent // g
         fir = _scipy.firwin_kaiser(20 * max(up, down) + 1,
                                    1.0 / max(up, down), 5.0)
         levels.append((hop, up, down, _scipy.resampler(fir, up, down)))
-    return levels
+        reaches.append(-(-(len(fir) // 2 // up + 2) // parent))
+    margins = list(itertools.accumulate(reversed(reaches), initial=0))
+    return [(*level, margin) for level, margin in zip(levels, margins[::-1])]
 
 
 def _block_signals(samples: np.ndarray, levels: list[tuple],
@@ -349,38 +364,27 @@ def _block_signals(samples: np.ndarray, levels: list[tuple],
     """Each level's samples of hops ``t0 .. t1 - 1`` (the partial last hop
     included), equal to that slice of the level's whole signal.
 
-    The windows are found bottom up. A level covers its own hops and the
-    part of it that the level below reads: that level's window mapped by
-    ``down / up`` and widened on each side by the reach of
-    ``resample_poly``'s filter, ``10 * max(up, down) / up`` samples (plus
-    2 for rounding), its start rounded down to a multiple of ``down`` so
-    that each resampled sample meets the same filter phase as in the whole
-    signal. Then each level is resampled from its parent's window, top
-    down, by the level's ``resample``, whose filter is the whole-signal
-    call's: its kept samples read nothing past the window's ends but the
-    zeros the whole-signal call reads past the ends of the signal. Windows
-    running past the end of a signal are clipped by the slicing.
+    A level's window is its hops ``t0 - margin .. t1 + margin - 1``,
+    clipped to the signal, resampled from its parent's window. Hop t of a
+    level starts at sample ``t * hop`` and hop t of its parent at ``t *
+    hop * down / up``, a multiple of ``down``, so a parent window that
+    starts on a hop is resampled onto the filter phases of the whole
+    signal and its first output sample is the child's sample at that hop.
+    The parent's margin covers the filter's reach past the child's window,
+    so the child's window reads nothing past the parent's but the zeros
+    the whole-signal call reads past the ends of the signal.
     """
-    plan = []
-    start, stop = math.inf, 0  # the bottom level feeds no level
-    for hop, up, down, _ in reversed(levels):
-        start, stop = min(start, t0 * hop), max(stop, t1 * hop)
-        reach = 10 * max(up, down) // up + 2
-        read = (max(0, (start * down // up - reach) // down * down),
-                -(-stop * down // up) + reach)
-        plan.append((start, stop, read))
-        start, stop = read
-    plan.reverse()
-
-    start, stop, _ = plan[0]
-    signals = [samples[start:stop]]
-    for (_, up, down, resample), (start, stop, (lo, hi)), \
-            (parent_start, _, _) in zip(levels[1:], plan[1:], plan):
-        x = resample(signals[-1][lo - parent_start:hi - parent_start])
-        offset = lo // down * up  # x[0] is this level's sample offset
-        signals.append(x[start - offset:stop - offset])
-    return [x[t0 * hop - start:t1 * hop - start]
-            for x, (hop, *_), (start, _, _) in zip(signals, levels, plan)]
+    hop, *_, margin = levels[0]
+    first = max(0, t0 - margin)
+    window = samples[first * hop:(t1 + margin) * hop]
+    signals = [samples[t0 * hop:t1 * hop]]
+    for hop, _, _, resample, margin in levels[1:]:
+        child = max(0, t0 - margin)
+        window = resample(window)[(child - first) * hop:
+                                  (t1 + margin - first) * hop]
+        first = child
+        signals.append(window[(t0 - first) * hop:(t1 - first) * hop])
+    return signals
 
 
 def _filter_group(bank: list[tuple[np.ndarray, np.ndarray]],
@@ -466,29 +470,28 @@ def compute_spectrogram(audio: AudioBuffer,
             f"frame of {ratio:.10g}")
 
     frame_rate = audio.sample_rate / hop
-    groups = _band_groups(config, hop, frame_rate)
-    hops = sorted({hop, *(group_hop for _, group_hop in groups)},
-                  reverse=True)
     # the bands of each group that holds any of rows, their slice of the
-    # output and the group's hop; every group is designed, so a band at or
+    # output, the group's hop and its level of the cascade, whose hops
+    # fall from the input's; every group is designed, so a band at or
     # above Nyquist is an error whichever rows are kept
-    kept = []
-    for group_rows, group_hop in groups:
+    hops, kept = [hop], []
+    for group_rows, group_hop in _band_groups(config, hop, frame_rate):
         bank = design_filterbank(
             replace(config, midi_low=config.midi_low + group_rows[0],
                     num_bands=len(group_rows)),
             audio.sample_rate * group_hop / hop)
+        if group_hop < hops[-1]:
+            hops.append(group_hop)
         start = max(group_rows.start, rows.start)
         stop = min(group_rows.stop, rows.stop)
         if start < stop:
             kept.append((bank[start - group_rows.start:
                               stop - group_rows.start],
                          slice(start - rows.start, stop - rows.start),
-                         group_hop))
-    banks, out_rows, group_hops = zip(*kept)
+                         group_hop, len(hops) - 1))
+    banks, out_rows, group_hops, group_levels = zip(*kept)
     # the cascade down to the level of the lowest kept group
-    levels = _resample_levels(hops[:hops.index(group_hops[-1]) + 1])
-    group_levels = [hops.index(group_hop) for group_hop in group_hops]
+    levels = _resample_levels(hops[:group_levels[-1] + 1])
 
     num_hops = -(-len(samples) // hop)
     hop_maxima = np.empty((len(rows), num_hops))

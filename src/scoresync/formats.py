@@ -206,11 +206,20 @@ def _parse_block(text: bytes, width: int, path: str,
                      f"parse")
 
 
+def _decoded(line: bytes, path: str, lineno: int) -> str:
+    """Line ``lineno`` of the file at ``path`` as UTF-8 text; a ValueError
+    naming the path and the line if it is not."""
+    try:
+        return line.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path!r} line {lineno}: {exc}") from None
+
+
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
     The CSV carries no frame rate, so the effective rate must be supplied.
-    ValueError unless it has at least one band column, a header that
+    ValueError unless it has at least one band column, a UTF-8 header that
     ``_feature_header`` would write with no band past MIDI pitch 127, and
     rows, all as wide as the header, of finite non-negative values, whose
     ``frame`` column numbers them 0, 1, ...: row t is frame t. A line that
@@ -228,7 +237,7 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     naming its first bad line by the line number the loop carries.
     """
     with open(path, "rb") as f:
-        header = f.readline().decode().strip().split(",")
+        header = _decoded(f.readline(), path, 1).strip().split(",")
         if header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
         if len(header) < 2:
@@ -291,21 +300,24 @@ def read_alignment_csv(path: str) -> list[float]:
     """The ``time_s`` of each non-blank row of a CSV with a header line
     and ``score_index`` and ``time_s`` columns, an alignment or truth CSV.
 
-    ValueError, naming the path and the line, on a row that lacks a
-    column, whose ``time_s`` is not a finite number, or whose
-    ``score_index`` is not its 0-based position: rows are paired with the
-    score by position.
+    ValueError, naming the path and the line, on a line that is not
+    UTF-8 text, a row that lacks a column, whose ``time_s`` is not a
+    finite number, or whose ``score_index`` is not its 0-based position:
+    rows are paired with the score by position.
     """
-    with open(path) as f:
-        header = f.readline().strip().split(",")
+    with open(path, "rb") as f:
+        # the lines open(path) would give, each decoded on its own so
+        # that one that is not UTF-8 is named by its line
+        lines = iter(f.read().splitlines())
+        header = _decoded(next(lines, b""), path, 1).strip().split(",")
         missing = {"score_index", "time_s"} - set(header)
         if missing:
             raise ValueError(f"{path!r}: missing columns {missing}")
         index_col = header.index("score_index")
         time_col = header.index("time_s")
         times = []
-        for lineno, line in enumerate(f, start=2):
-            fields = line.strip().split(",")
+        for lineno, line in enumerate(lines, start=2):
+            fields = _decoded(line, path, lineno).strip().split(",")
             if fields == [""]:
                 continue
             where = f"{path!r} line {lineno}"

@@ -330,6 +330,20 @@ class TestAlign:
         assert self._align_dump(piece, raw, frames_only) == EXIT_IO
         assert "no band columns" in capsys.readouterr().err
 
+    def test_dump_header_not_utf8_names_the_file(self, tmp_path, capsys):
+        score = tmp_path / "score.json"
+        score.write_text(json.dumps([{"beat": float(b), "pitches": [60]}
+                                     for b in range(4)]))
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"frame,p59\xff,p60,p61\n"
+                        + b"".join(b"%d,0.5,0.25,0.5\n" % t
+                                   for t in range(300)))
+        assert main(["align", "--features", str(raw),
+                     "--score", str(score)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: features: {str(raw)!r} line 1: 'utf-8' codec "
+            f"can't decode byte 0xff in position 9: invalid start byte\n")
+
     @pytest.mark.parametrize("pitches", [(61, 60), (60, 62)])
     def test_dump_with_band_columns_out_of_step_is_io_error(
             self, tmp_path, capsys, pitches):
@@ -665,6 +679,25 @@ class TestEval:
         assert child.returncode == EXIT_IO
         assert "Traceback" not in child.stderr
         assert child.stderr.startswith("scoresync: output: ")
+
+    @pytest.mark.parametrize("line", [1, 4])
+    @pytest.mark.parametrize("which", ["alignment", "truth"])
+    def test_line_not_utf8_names_the_file_and_line(self, piece, tmp_path,
+                                                   capsys, which, line):
+        files = {"alignment": self._perfect_alignment(piece, tmp_path),
+                 "truth": tmp_path / "truth.csv"}
+        files["truth"].write_text(open(piece["truth"]).read())
+        bad = files[which]
+        lines = bad.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        assert main(["eval", "--alignment", str(files["alignment"]),
+                     "--truth", str(files["truth"])]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"scoresync: eval: {str(bad)!r} line {line}: 'utf-8' codec "
+            f"can't decode byte 0xff in position {len(lines[line - 1]) - 1}")
 
     def test_blank_truth_line_skipped(self, piece, tmp_path, capsys):
         aligned = self._perfect_alignment(piece, tmp_path)

@@ -480,6 +480,40 @@ class TestDecimatedFiltering:
             assert np.array_equal(values,
                                   reference_spectrogram(audio, config))
 
+    @pytest.mark.parametrize("block_hops", [1, 2, 3, 7, 384])
+    @pytest.mark.parametrize("frame_rate", [50.0, 100.0])
+    @pytest.mark.parametrize("sample_rate",
+                             [11025, 16000, 22050, 44100, 48000, 96000])
+    def test_cascade_windows_equal_the_whole_signal(
+            self, sample_rate, frame_rate, block_hops):
+        config = FilterbankConfig(frame_rate=frame_rate)
+        hop = int(round(sample_rate / frame_rate))
+        groups = filterbank._band_groups(config, hop, sample_rate / hop)
+        hops = sorted({hop, *(group_hop for _, group_hop in groups)},
+                      reverse=True)
+        levels = filterbank._resample_levels(hops)
+        assert [level[0] for level in levels] == hops
+        rng = np.random.default_rng([sample_rate, int(frame_rate),
+                                     block_hops])
+        # three blocks or more, the last one partial, and a partial hop
+        num_hops = 2 * block_hops + block_hops // 2 + 2
+        samples = rng.uniform(-0.5, 0.5, (num_hops - 1) * hop + hop // 3)
+        whole = [samples]
+        for (parent, *_), (_, up, down, _, _) in zip(levels, levels[1:]):
+            # a window that starts on a parent hop starts on a multiple of
+            # down, so it meets the whole signal's filter phases
+            assert parent % down == 0
+            whole.append(signal.resample_poly(whole[-1], up, down))
+        blocks = range(0, num_hops, block_hops)
+        for t0 in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+            t1 = min(t0 + block_hops, num_hops)
+            signals = filterbank._block_signals(samples, levels, t0, t1)
+            assert len(signals) == len(levels)
+            for x, level_hop, expected in zip(signals, hops, whole):
+                assert np.array_equal(
+                    x, expected[t0 * level_hop:t1 * level_hop]), \
+                    (level_hop, t0, t1)
+
     def test_scaling_input_scales_output_exactly(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(-0.4, 0.4, 44100)
