@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 score data, 5 no feasible
 alignment path, 6 configuration.
+
+Each step of a command runs in a named stage (``_stage``). The exit code
+of a package error comes from its class (``_EXIT_CODES``) and its printed
+prefix from the stage, except that an audio error always prints as
+``audio``. A builtin exception that a stage lists, such as an OSError,
+exits with that stage's code.
 """
 
 import argparse
@@ -30,6 +36,44 @@ EXIT_CONFIG = 6
 
 _AUDIO_ERRORS = (AudioReadError, UnsupportedAudioError, EmptyAudioError)
 
+# exit code of each package error class; a subclass exits with the code of
+# its nearest listed ancestor
+_EXIT_CODES = {**dict.fromkeys(_AUDIO_ERRORS, EXIT_IO),
+               ScoreError: EXIT_SCORE,
+               InfeasiblePathError: EXIT_INFEASIBLE,
+               ScoreSyncError: EXIT_CONFIG}
+
+
+class _Exit(Exception):
+    """A failed stage: the message ``main`` prints, and the exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _stage(name: str, builtins=(), code: int = EXIT_IO):
+    """Run a command step as the stage ``name``. A package error raised in
+    it becomes an ``_Exit`` with the code of its class and the prefix
+    ``name: `` (``audio: `` for an audio error); an exception of a type in
+    ``builtins`` becomes one with the prefix ``name: `` and ``code``."""
+    try:
+        yield
+    except ScoreSyncError as exc:
+        prefix = "audio" if isinstance(exc, _AUDIO_ERRORS) else name
+        raise _Exit(f"{prefix}: {exc}",
+                    next(_EXIT_CODES[cls] for cls in type(exc).__mro__
+                         if cls in _EXIT_CODES)) from exc
+    except builtins as exc:
+        raise _Exit(f"{name}: {exc}", code) from exc
+
+
+def _fail(message: str, code: int) -> int:
+    print(f"scoresync: {message}", file=sys.stderr)
+    return code
+
+
 _FILTERBANK_FLAGS = ("frame_rate", "window_factor")
 
 
@@ -52,20 +96,23 @@ _CONFIG_KEYS = {f.name: f.type
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    values = {}
+    """The key=value pairs of the config file at ``path``; a ValueError
+    naming the line if one is not UTF-8."""
     try:
-        with open(path) as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
+    values = {}
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = formats._decoded(raw, path, lineno).strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -104,20 +151,31 @@ def _build(cls, settings: dict):
                   if f.name in settings})
 
 
+def _settings(args, *classes) -> list:
+    """An instance of each of ``classes`` from the merged settings, built
+    in the ``config`` stage, where a ValueError (a config line that is not
+    UTF-8) exits 6 too."""
+    with _stage("config", (ValueError,), EXIT_CONFIG):
+        settings = _merge_settings(args)
+        return [_build(cls, settings) for cls in classes]
+
+
 def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
-    """The score at ``path``; ConfigurationError for a negative
-    ``--chord-tolerance`` whatever the score's format, though only a MIDI
-    score reads it."""
-    if chord_tolerance < 0:
-        raise ConfigurationError(
-            f"chord_tolerance must be non-negative, got {chord_tolerance}")
-    lower = path.lower()
-    if lower.endswith((".mid", ".midi")):
-        return score_mod.from_midi(path, chord_tolerance=chord_tolerance)
-    if lower.endswith(".json"):
-        return score_mod.from_json(path)
-    raise ScoreError(f"cannot detect score format of {path!r} "
-                     f"(expected .mid, .midi, or .json)")
+    """The score at ``path``, read in the ``score`` stage. A negative
+    ``--chord-tolerance`` fails the ``config`` stage first whatever the
+    score's format, though only a MIDI score reads it."""
+    with _stage("config"):
+        if chord_tolerance < 0:
+            raise ConfigurationError(
+                f"chord_tolerance must be non-negative, got {chord_tolerance}")
+    with _stage("score"):
+        lower = path.lower()
+        if lower.endswith((".mid", ".midi")):
+            return score_mod.from_midi(path, chord_tolerance=chord_tolerance)
+        if lower.endswith(".json"):
+            return score_mod.from_json(path)
+        raise ScoreError(f"cannot detect score format of {path!r} "
+                         f"(expected .mid, .midi, or .json)")
 
 
 def _score_bands(score: score_mod.ScoreSequence,
@@ -134,27 +192,23 @@ def _score_bands(score: score_mod.ScoreSequence,
     return range(max(low, bands.start), min(stop, bands.stop))
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"scoresync: {message}", file=sys.stderr)
-    return code
-
-
-def _write_out(path, writer) -> int:
+def _write_out(path, writer) -> None:
     """``writer(out)`` on the file at ``path``, or on stdout when it is
-    None (left open, but flushed so that a closed pipe fails here); 0, or
-    EXIT_IO after reporting an OSError."""
-    try:
-        with (contextlib.nullcontext(sys.stdout) if path is None
-              else open(path, "w", newline="\n")) as out:
-            writer(out)
-            out.flush()
-    except OSError as exc:
-        if path is None:
-            # drop what is left in the buffer, which would fail again when
-            # Python flushes stdout at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail(f"output: {exc}", EXIT_IO)
-    return 0
+    None (left open, but flushed so that a closed pipe fails here); an
+    OSError fails the ``output`` stage."""
+    with _stage("output", (OSError,)):
+        try:
+            with (contextlib.nullcontext(sys.stdout) if path is None
+                  else open(path, "w", newline="\n")) as out:
+                writer(out)
+                out.flush()
+        except OSError:
+            if path is None:
+                # drop what is left in the buffer, which would fail again
+                # when Python flushes stdout at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY),
+                        sys.stdout.fileno())
+            raise
 
 
 def _parse_tempo(text: str) -> synth_eval.TempoMap:
@@ -242,124 +296,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_align(args) -> int:
-    try:
-        settings = _merge_settings(args)
-        params = _build(dp_align.AlignmentParams, settings)
-        config = _build(FilterbankConfig, settings)
-    except ConfigurationError as exc:
-        return _fail(f"config: {exc}", EXIT_CONFIG)
-
-    try:
-        score = _load_score(args.score, args.chord_tolerance)
-    except ScoreError as exc:
-        return _fail(f"score: {exc}", EXIT_SCORE)
-    except ConfigurationError as exc:
-        return _fail(f"config: {exc}", EXIT_CONFIG)
-
-    try:
-        if args.audio is not None:
+def cmd_align(args) -> None:
+    params, config = _settings(args, dp_align.AlignmentParams,
+                               FilterbankConfig)
+    score = _load_score(args.score, args.chord_tolerance)
+    if args.audio is not None:
+        with _stage("filterbank"):
             raw = compute_spectrogram(load_wav(args.audio), config,
                                       pitches=_score_bands(score, config))
-        else:
+    else:
+        with _stage("features", (OSError, ValueError)):
             raw = formats.read_feature_csv(args.features, config.frame_rate)
-    except _AUDIO_ERRORS as exc:
-        return _fail(f"audio: {exc}", EXIT_IO)
-    except ConfigurationError as exc:
-        return _fail(f"filterbank: {exc}", EXIT_CONFIG)
-    except (OSError, ValueError) as exc:
-        return _fail(f"features: {exc}", EXIT_IO)
-
-    try:
+    with _stage("align"):
         result = dp_align.align(score, extract_features(raw), params)
-    except InfeasiblePathError as exc:
-        return _fail(f"align: {exc}", EXIT_INFEASIBLE)
-    except EmptyAudioError as exc:
-        return _fail(f"align: {exc}", EXIT_IO)
-    except ConfigurationError as exc:
-        return _fail(f"align: {exc}", EXIT_CONFIG)
-
     if args.format == "json":
-        return _write_out(args.out, lambda out: formats.dump_json(
+        _write_out(args.out, lambda out: formats.dump_json(
             out, dataclasses.asdict(result)))
-    return _write_out(args.out,
-                      lambda out: formats.write_alignment_csv(out, result))
+    else:
+        _write_out(args.out,
+                   lambda out: formats.write_alignment_csv(out, result))
 
 
-def cmd_features(args) -> int:
-    try:
-        config = _build(FilterbankConfig, _merge_settings(args))
-    except ConfigurationError as exc:
-        return _fail(f"config: {exc}", EXIT_CONFIG)
-
-    try:
-        audio = load_wav(args.audio)
-        raw = compute_spectrogram(audio, config)
-    except _AUDIO_ERRORS as exc:
-        return _fail(f"audio: {exc}", EXIT_IO)
-    except ConfigurationError as exc:
-        return _fail(f"filterbank: {exc}", EXIT_CONFIG)
-
+def cmd_features(args) -> None:
+    [config] = _settings(args, FilterbankConfig)
+    with _stage("filterbank"):
+        raw = compute_spectrogram(load_wav(args.audio), config)
     matrix = {"raw": lambda: raw,
               "spec": lambda: normalize_bins(raw),
               "onsets": lambda: superflux_onsets(raw)}[args.feature]()
-    return _write_out(args.out, lambda out: formats.write_feature_csv(
+    _write_out(args.out, lambda out: formats.write_feature_csv(
         out, matrix, precision=args.precision))
 
 
-def cmd_synth(args) -> int:
-    try:
-        score = _load_score(args.score, args.chord_tolerance)
-    except ScoreError as exc:
-        return _fail(f"score: {exc}", EXIT_SCORE)
-    except ConfigurationError as exc:
-        return _fail(f"config: {exc}", EXIT_CONFIG)
-
-    first_beat = score.onsets[0].beat
-    if args.tempo.segments[0][0] != first_beat:
-        return _fail(
-            f"synth: tempo map starts at beat {args.tempo.segments[0][0]:g} "
-            f"but the score starts at beat {first_beat:g}", EXIT_SCORE)
-
-    if args.seed < 0:
-        return _fail(f"synth: seed must be non-negative, got {args.seed}",
-                     EXIT_CONFIG)
-    rng = np.random.default_rng(args.seed)
-    try:
+def cmd_synth(args) -> None:
+    score = _load_score(args.score, args.chord_tolerance)
+    with _stage("synth", (ValueError,), EXIT_SCORE):
+        start, first_beat = args.tempo.segments[0][0], score.onsets[0].beat
+        if start != first_beat:
+            raise ScoreError(f"tempo map starts at beat {start:g} but the "
+                             f"score starts at beat {first_beat:g}")
+        if args.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {args.seed}")
         audio, truth = synth_eval.synthesize(
             score, args.tempo, sample_rate=args.sample_rate,
-            noise_level=args.noise_level, rng=rng)
-    except ValueError as exc:
-        return _fail(f"synth: {exc}", EXIT_SCORE)
-    except ConfigurationError as exc:
-        return _fail(f"synth: {exc}", EXIT_CONFIG)
-
-    try:
+            noise_level=args.noise_level,
+            rng=np.random.default_rng(args.seed))
+    with _stage("output", (OSError,)):
         _scipy.wavfile.write(args.out, audio.sample_rate,
                              audio.samples.astype(np.float32))
-    except OSError as exc:
-        return _fail(f"output: {exc}", EXIT_IO)
-    return _write_out(args.truth_out or f"{args.out}.truth.csv",
-                      lambda out: formats.write_truth_csv(out, score, truth))
+    _write_out(args.truth_out or f"{args.out}.truth.csv",
+               lambda out: formats.write_truth_csv(out, score, truth))
 
 
-def cmd_eval(args) -> int:
-    try:
+def cmd_eval(args) -> None:
+    with _stage("eval", (OSError, ValueError)):
         predicted = formats.read_alignment_csv(args.alignment)
         truth = formats.read_alignment_csv(args.truth)
-    except (OSError, ValueError) as exc:
-        return _fail(f"eval: {exc}", EXIT_IO)
-
-    try:
+    with _stage("eval", (ValueError,), EXIT_SCORE):
         report = synth_eval.evaluate(predicted, truth)
-    except ValueError as exc:
-        return _fail(f"eval: {exc}", EXIT_SCORE)
 
     def write_report(out):
         out.write(formats.format_eval_text(report) + "\n")
         formats.dump_json(out, formats.eval_to_json(report))
 
-    return _write_out(None, write_report)
+    _write_out(None, write_report)
 
 
 _COMMANDS = {
@@ -373,9 +374,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ScoreSyncError as exc:  # safety net: uncategorized package error
-        return _fail(str(exc), EXIT_CONFIG)
+        # a package error outside the command's own stages is named by
+        # the command
+        with _stage(args.command):
+            _COMMANDS[args.command](args)
+    except _Exit as exc:
+        return _fail(str(exc), exc.code)
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ but it excites the right filterbank bands, produces crisp onset activations,
 and is fully deterministic, which is what an evaluation harness needs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
     one second). White noise, when requested, is scaled to ``noise_level``
     RMS relative to the clean peak and drawn from ``rng`` so runs stay
     reproducible. The mix is peak-normalized to 0.9. A sample rate below
-    1 Hz or a negative or non-finite ``noise_level`` raises
-    ConfigurationError.
+    1 Hz, a negative or non-finite ``noise_level``, or one so large that
+    the noisy mix could overflow float64 raises ConfigurationError.
     """
     if not sample_rate >= 1:
         raise ConfigurationError(
@@ -115,7 +116,19 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
     if noise_level > 0.0 and peak > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
-        out = out + rng.standard_normal(n) * (noise_level * peak)
+        noise = rng.standard_normal(n)
+        scale = noise_level * float(peak)
+        # the largest noisy sample, bounded in Python floats, which
+        # overflow to inf without the warning numpy's arrays would raise
+        reach = float(max(noise.max(), -noise.min()))
+        if not math.isfinite(reach * scale + float(peak)):
+            raise ConfigurationError(
+                f"noise_level {noise_level} overflows the mix")
+        # in place, and the noise dropped before the peak's temporary, so
+        # that no more than two signal-length arrays are held at once
+        noise *= scale
+        out += noise
+        del noise
         peak = np.abs(out).max()
     if peak > 0.0:
         out *= PEAK_LEVEL / peak

@@ -11,6 +11,10 @@ import pytest
 from scoresync import AlignmentParams, FilterbankConfig, cli
 from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
                            main)
+from scoresync.errors import (AudioReadError, ConfigurationError,
+                              EmptyAudioError, InfeasiblePathError,
+                              ScoreError, ScoreSyncError,
+                              UnsupportedAudioError)
 
 from helpers import write_midi, write_wav
 
@@ -97,6 +101,15 @@ class TestSynth:
         assert main(["synth", "--score", score_path, "--out", str(out),
                      "--seed", str(seed)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("scoresync: synth: ")
+        assert not out.exists()
+
+    def test_overflowing_noise_level_is_config_error(self, score_path,
+                                                     tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", score_path, "--out", str(out),
+                     "--noise-level", "1e308", "--seed", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "scoresync: synth: noise_level 1e+308 overflows the mix\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("score", ["midi_chords", "score_path"])
@@ -925,6 +938,20 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             "scoresync: config: bands must lie within MIDI 0..127\n"
 
+    @pytest.mark.parametrize("command", ["align", "features"])
+    def test_config_line_not_utf8_names_the_line(self, tmp_path, piece,
+                                                 capsys, command):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"# tuning\nframe_rate=50\xff\n")
+        out = tmp_path / "out.csv"
+        extra = ["--score", piece["score"]] if command == "align" else []
+        assert main([command, "--audio", piece["wav"], *extra,
+                     "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"scoresync: config: {str(cfg)!r} line 2: 'utf-8' codec can't "
+            f"decode byte 0xff in position 13: invalid start byte\n")
+        assert not out.exists()
+
     def test_unknown_pitch_aggregation_flag_is_usage_error(self, score_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["align", "--audio", "a.wav", "--score", score_path,
@@ -940,3 +967,48 @@ class TestConfigFile:
         duration = 3.5  # beats 0..5 at 120 BPM plus the final second
         n_rows = len(out.read_text().splitlines()) - 1
         assert n_rows == pytest.approx(duration * 25, abs=2)
+
+
+def _error_classes(cls=ScoreSyncError):
+    """``cls`` and every subclass of it, however deep."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+# the exit code and stderr prefix README documents for a package error
+# raised in a stage named "x"; a class missing here fails the test
+DOCUMENTED_EXITS = {
+    ScoreSyncError: (EXIT_CONFIG, "x: "),
+    AudioReadError: (EXIT_IO, "audio: "),
+    UnsupportedAudioError: (EXIT_IO, "audio: "),
+    EmptyAudioError: (EXIT_IO, "audio: "),
+    ScoreError: (EXIT_SCORE, "x: "),
+    ConfigurationError: (EXIT_CONFIG, "x: "),
+    InfeasiblePathError: (EXIT_INFEASIBLE, "x: "),
+}
+
+
+class TestStage:
+    def test_every_error_class_exits_as_documented(self):
+        for cls in _error_classes():
+            assert cls in DOCUMENTED_EXITS, f"{cls.__name__} has no entry"
+            extra = (0,) if issubclass(cls, InfeasiblePathError) else ()
+            with pytest.raises(cli._Exit) as excinfo:
+                with cli._stage("x"):
+                    raise cls("boom", *extra)
+            code, prefix = DOCUMENTED_EXITS[cls]
+            assert (excinfo.value.code, str(excinfo.value)) \
+                == (code, prefix + "boom"), cls.__name__
+
+    def test_listed_builtin_exits_with_the_stage_code(self):
+        with pytest.raises(cli._Exit) as excinfo:
+            with cli._stage("x", (OSError,), EXIT_INFEASIBLE):
+                raise FileNotFoundError("gone")
+        assert (excinfo.value.code, str(excinfo.value)) \
+            == (EXIT_INFEASIBLE, "x: gone")
+
+    def test_unlisted_builtin_passes_through(self):
+        with pytest.raises(ValueError, match="^bad$"):
+            with cli._stage("x", (OSError,)):
+                raise ValueError("bad")

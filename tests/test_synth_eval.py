@@ -104,6 +104,17 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError, match="noise_level"):
             synthesize(score, tempo((0.0, 120.0)), noise_level=level)
 
+    def test_noise_level_that_overflows_the_mix_rejected(self):
+        # checked before the noise is scaled, so no RuntimeWarning (an
+        # error under this suite) comes first
+        score = make_score([0.0, 1.0], [[60, 64], [67]])
+        with pytest.raises(ConfigurationError, match="noise_level 1e"):
+            synthesize(score, tempo((0.0, 120.0)), noise_level=1e308,
+                       rng=np.random.default_rng(1))
+        audio, _ = synthesize(score, tempo((0.0, 120.0)), noise_level=1e306,
+                              rng=np.random.default_rng(1))
+        assert np.abs(audio.samples).max() == pytest.approx(0.9)
+
     @pytest.mark.parametrize("rate", [0, -22050, 0.5, float("nan")])
     def test_sample_rate_below_one_hz_rejected(self, rate):
         score = make_score([0.0], [[60]])
