@@ -25,9 +25,9 @@ from .audio_io import load_wav
 from .errors import (AudioReadError, ConfigurationError, EmptyAudioError,
                      InfeasiblePathError, ScoreError, ScoreSyncError,
                      UnsupportedAudioError)
-from .features import (_raw_bands, extract_features, normalize_bins,
+from .features import (_score_bands, extract_features, normalize_bins,
                        superflux_onsets)
-from .filterbank import FilterbankConfig, compute_spectrogram
+from .filterbank import FilterbankConfig, Spectrogram, compute_spectrogram
 
 EXIT_IO = 3
 EXIT_SCORE = 4
@@ -178,20 +178,6 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
                          f"(expected .mid, .midi, or .json)")
 
 
-def _score_bands(score: score_mod.ScoreSequence,
-                 config: FilterbankConfig) -> range | None:
-    """The bands ``align`` reads for ``score``: those the features of its
-    register read (``_raw_bands``), within the bank. None when a
-    score pitch has no band, so the whole bank is filtered and the DP
-    reports that pitch."""
-    pitches = [p for onset in score.onsets for p in onset.pitches]
-    low, stop = config.midi_low, config.midi_low + config.num_bands
-    if not low <= min(pitches) <= max(pitches) < stop:
-        return None
-    bands = _raw_bands(min(pitches), max(pitches))
-    return range(max(low, bands.start), min(stop, bands.stop))
-
-
 def _write_out(path, writer) -> None:
     """``writer(out)`` on the file at ``path``, or on stdout when it is
     None (left open, but flushed so that a closed pipe fails here); an
@@ -209,6 +195,29 @@ def _write_out(path, writer) -> None:
                 os.dup2(os.open(os.devnull, os.O_WRONLY),
                         sys.stdout.fileno())
             raise
+
+
+def _write_files(writers: dict) -> None:
+    """Call each ``writer(temp)`` of ``writers`` ({path: writer}) on a
+    temporary path beside its ``path`` and rename the files over their
+    paths once all are written, so that an OSError, which fails the
+    ``output`` stage, leaves none of them. A path that is a link or
+    exists but is not a regular file, such as ``/dev/stdout``, is
+    written in place rather than replaced."""
+    temps = {path: path if os.path.islink(path) or (
+                 os.path.exists(path) and not os.path.isfile(path))
+             else f"{path}.{os.getpid()}.tmp" for path in writers}
+    try:
+        with _stage("output", (OSError,)):
+            for path, writer in writers.items():
+                writer(temps[path])
+            for path, temp in temps.items():
+                os.replace(temp, path)
+    finally:
+        for path, temp in temps.items():
+            if temp != path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temp)
 
 
 def _parse_tempo(text: str) -> synth_eval.TempoMap:
@@ -301,12 +310,20 @@ def cmd_align(args) -> None:
                                FilterbankConfig)
     score = _load_score(args.score, args.chord_tolerance)
     if args.audio is not None:
+        # taken from a zero-frame spectrogram of the config's bank, so that
+        # a pitch outside it fails before the audio is read
+        bands = _score_bands(score, Spectrogram(np.empty(
+            (config.num_bands, 0)), config.frame_rate, config.midi_low))
         with _stage("filterbank"):
             raw = compute_spectrogram(load_wav(args.audio), config,
-                                      pitches=_score_bands(score, config))
+                                      pitches=bands)
     else:
         with _stage("features", (OSError, ValueError)):
-            raw = formats.read_feature_csv(args.features, config.frame_rate)
+            dump = formats.read_feature_csv(args.features, config.frame_rate)
+        # the same rows of the dump, a view
+        bands = _score_bands(score, dump)
+        raw = dataclasses.replace(dump, midi_low=bands.start, values=(
+            dump.values[bands.start - dump.midi_low:][:len(bands)]))
     with _stage("align"):
         result = dp_align.align(score, extract_features(raw), params)
     if args.format == "json":
@@ -342,11 +359,11 @@ def cmd_synth(args) -> None:
             score, args.tempo, sample_rate=args.sample_rate,
             noise_level=args.noise_level,
             rng=np.random.default_rng(args.seed))
-    with _stage("output", (OSError,)):
-        _scipy.wavfile.write(args.out, audio.sample_rate,
-                             audio.samples.astype(np.float32))
-    _write_out(args.truth_out or f"{args.out}.truth.csv",
-               lambda out: formats.write_truth_csv(out, score, truth))
+    _write_files({
+        args.out: lambda path: _scipy.wavfile.write(
+            path, audio.sample_rate, audio.samples.astype(np.float32)),
+        args.truth_out or f"{args.out}.truth.csv": lambda path: _write_out(
+            path, lambda out: formats.write_truth_csv(out, score, truth))})
 
 
 def cmd_eval(args) -> None:

@@ -70,12 +70,15 @@ def _onsets(v: np.ndarray, lag: int, midi_low: int,
     return _scale_bins(onset, _band_maxima(onset, midi_low))
 
 
-def _raw_bands(low: int, top: int) -> range:
-    """Pitches of the raw bands that the features of the pitches ``low ..
-    top`` read: those and one band either side, for the onsets' three-band
-    maximum (``_onsets``). Pitches past the bank are left for the caller
-    to clip."""
-    return range(low - 1, top + 2)
+def _score_bands(score, bank: Spectrogram) -> range:
+    """Pitches of the bands of ``bank`` that the features of ``score`` (a
+    ``ScoreSequence``) read: its register and one band either side, for
+    the onsets' three-band maximum (``_onsets``), clipped to the bank. A
+    score pitch outside the bank raises its ConfigurationError
+    (``Spectrogram.pitch_row``)."""
+    rows = [bank.pitch_row(p) for onset in score.onsets for p in onset.pitches]
+    return range(bank.midi_low + max(min(rows) - 1, 0),
+                 bank.midi_low + min(max(rows) + 2, bank.num_bands))
 
 
 def normalize_bins(m: Spectrogram) -> Spectrogram:
@@ -108,7 +111,8 @@ def extract_features(raw: Spectrogram) -> FeaturePair:
     The raw bands are checked first, so a NaN or +inf raw band is named
     itself, not a neighbor that the onset max filter spread it to. Only
     the rows of ``raw`` are checked: a spectrogram of some bands (as
-    ``align --audio`` computes) says nothing of the bands left out.
+    ``align`` hands it, from the audio or a dump alike) says nothing of
+    the bands left out.
 
     The values equal ``superflux_onsets(raw)`` and ``normalize_bins(raw)``,
     but the onsets' max filter is built in the spectral matrix before it

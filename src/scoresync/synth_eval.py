@@ -23,6 +23,11 @@ DECAY_TIME_CONSTANT_S = 0.4
 HARMONIC_AMPLITUDES = (1.0, 0.5, 0.25, 0.125)
 LAST_CHORD_DURATION_S = 1.0
 PEAK_LEVEL = 0.9
+# most samples a render may hold: 2 GiB of float64 mix, over 100 minutes
+# at 44.1 kHz, so that a mistyped sample rate or tempo fails before the
+# mix is allocated; a float32 WAV of it is 1 GiB, within the format's
+# 4 GiB
+_MAX_SAMPLES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,10 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
     one second). White noise, when requested, is scaled to ``noise_level``
     RMS relative to the clean peak and drawn from ``rng`` so runs stay
     reproducible. The mix is peak-normalized to 0.9. A sample rate below
-    1 Hz, a negative or non-finite ``noise_level``, or one so large that
-    the noisy mix could overflow float64 raises ConfigurationError.
+    1 Hz, a render of more than ``_MAX_SAMPLES`` (2**28) samples, checked
+    before the mix is allocated, a negative or non-finite
+    ``noise_level``, or one so large that the noisy mix could overflow
+    float64 raises ConfigurationError.
     """
     if not sample_rate >= 1:
         raise ConfigurationError(
@@ -91,6 +98,13 @@ def synthesize(score: ScoreSequence, tempo_map: TempoMap,
             f"noise_level must be finite and non-negative, got {noise_level}")
     truth = [beat_to_seconds(o.beat, tempo_map) for o in score.onsets]
     total = truth[-1] + LAST_CHORD_DURATION_S
+    # a render lasts at least a second, so a rate above the cap is refused
+    # before the product, which an integer rate past the float range
+    # would overflow
+    if sample_rate > _MAX_SAMPLES or not total * sample_rate <= _MAX_SAMPLES:
+        raise ConfigurationError(
+            f"a render of {total:g} s at {sample_rate} Hz is more than "
+            f"{_MAX_SAMPLES} samples")
     n = int(np.ceil(total * sample_rate))
     out = np.zeros(n)
 

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from scoresync import AlignmentParams, FilterbankConfig, cli
+from scoresync import AlignmentParams, FilterbankConfig, cli, synth_eval
 from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
                            main)
 from scoresync.errors import (AudioReadError, ConfigurationError,
@@ -132,6 +133,64 @@ class TestSynth:
             == EXIT_SCORE
         assert capsys.readouterr().err.startswith("scoresync: score: ")
         assert not out.exists()
+
+    def test_render_too_large_is_config_error(self, score_path, tmp_path,
+                                              capsys, monkeypatch):
+        # synth_eval's numpy, whose zeros fails the test
+        def zeros(*args, **kwargs):
+            pytest.fail("the mix was allocated")
+        monkeypatch.setattr(synth_eval, "np", types.SimpleNamespace(
+            **{**vars(np), "zeros": zeros}))
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", score_path, "--out", str(out),
+                     "--sample-rate", "100000000000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "scoresync: synth: a render of 3.5 s at 100000000000 Hz is more "
+            "than 268435456 samples\n")
+        assert sorted(os.listdir(tmp_path)) == ["score.json"]
+
+    def test_missing_truth_directory_leaves_no_wav(self, score_path,
+                                                   tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert main(["synth", "--score", score_path, "--out", str(out),
+                     "--truth-out", str(tmp_path / "no" / "t.csv")]) \
+            == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            "scoresync: output: [Errno 2] ")
+        assert sorted(os.listdir(tmp_path)) == ["score.json"]
+
+    def test_missing_wav_directory_leaves_no_truth(self, score_path,
+                                                   tmp_path, capsys):
+        assert main(["synth", "--score", score_path,
+                     "--out", str(tmp_path / "no" / "x.wav"),
+                     "--truth-out", str(tmp_path / "t.csv")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            "scoresync: output: [Errno 2] ")
+        assert sorted(os.listdir(tmp_path)) == ["score.json"]
+
+    def test_failed_write_keeps_the_files_it_would_replace(
+            self, score_path, tmp_path):
+        out, truth = tmp_path / "x.wav", tmp_path / "t.csv"
+        out.write_bytes(b"old wav")
+        truth.write_text("old truth")
+        (tmp_path / "dir.csv").mkdir()
+        for args in (["--out", str(out), "--truth-out",
+                      str(tmp_path / "dir.csv")],
+                     ["--out", str(tmp_path / "no" / "x.wav"),
+                      "--truth-out", str(truth)]):
+            assert main(["synth", "--score", score_path, *args]) == EXIT_IO
+        assert out.read_bytes() == b"old wav"
+        assert truth.read_text() == "old truth"
+        assert sorted(os.listdir(tmp_path)) == [
+            "dir.csv", "score.json", "t.csv", "x.wav"]
+
+    def test_link_is_written_through(self, score_path, tmp_path):
+        link = tmp_path / "link.wav"
+        link.symlink_to(tmp_path / "target.wav")
+        assert main(["synth", "--score", score_path, "--out", str(link),
+                     "--truth-out", str(tmp_path / "t.csv")]) == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.wav").read_bytes()[:4] == b"RIFF"
 
 
 class TestAlign:
@@ -433,7 +492,8 @@ class TestAlign:
 
 class TestAlignScoreBands:
     """``align --audio`` filters only the score's register and one band
-    either side, with the bytes of a run on the whole bank."""
+    either side, with the bytes of a run on the whole bank, and
+    ``align --features`` reads the same bands of its dump."""
 
     @pytest.fixture
     def register_piece(self, tmp_path):
@@ -496,10 +556,69 @@ class TestAlignScoreBands:
                                    {"beat": 1, "pitches": [pitch, 64]}]))
         assert main(["align", "--audio", piece["wav"],
                      "--score", str(bad)]) == EXIT_CONFIG
-        assert calls == [None]
+        assert calls == []
         assert capsys.readouterr().err == (
             f"scoresync: align: pitch {pitch} outside filterbank range "
             f"21..108\n")
+
+    @staticmethod
+    def spy_features(monkeypatch):
+        """Record the spectrogram each ``extract_features`` call gets."""
+        raws = []
+        extract_features = cli.extract_features
+
+        def spy(raw):
+            raws.append(raw)
+            return extract_features(raw)
+        monkeypatch.setattr(cli, "extract_features", spy)
+        return raws
+
+    def test_pitch_outside_the_bank_fails_before_the_audio_is_read(
+            self, monkeypatch, tmp_path, capsys):
+        def load_wav(path):
+            pytest.fail("the audio was read")
+        monkeypatch.setattr(cli, "load_wav", load_wav)
+        calls = self.spy_pitches(monkeypatch)
+        bad = tmp_path / "outside.json"
+        bad.write_text(json.dumps([{"beat": 0, "pitches": [60]},
+                                   {"beat": 1, "pitches": [109, 64]}]))
+        assert main(["align", "--audio", str(tmp_path / "missing.wav"),
+                     "--score", str(bad)]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "scoresync: align: pitch 109 outside filterbank range 21..108\n")
+
+    def test_audio_and_dump_hand_the_features_the_same_bands(
+            self, register_piece, monkeypatch, tmp_path):
+        wav, score = register_piece
+        dump = tmp_path / "raw.csv"
+        assert main(["features", "--audio", wav, "--feature", "raw",
+                     "--precision", "full", "--out", str(dump)]) == 0
+        raws = self.spy_features(monkeypatch)
+        for source in (["--audio", wav], ["--features", str(dump)]):
+            assert main(["align", *source, "--score", score,
+                         "--out", str(tmp_path / "a.csv")]) == 0
+        from_audio, from_dump = raws
+        assert from_audio.midi_low == from_dump.midi_low == 59
+        assert from_audio.frame_rate == from_dump.frame_rate
+        assert from_dump.values.shape[0] == 15
+        assert np.array_equal(from_audio.values, from_dump.values)
+
+    def test_pitch_outside_a_partial_dump_is_config_error(
+            self, register_piece, monkeypatch, tmp_path, capsys):
+        wav, score = register_piece
+        config = tmp_path / "part.cfg"
+        config.write_text("midi_low=40\nnum_bands=30\n")
+        dump = tmp_path / "part.csv"
+        assert main(["features", "--audio", wav, "--config", str(config),
+                     "--feature", "raw", "--precision", "full",
+                     "--out", str(dump)]) == 0
+        raws = self.spy_features(monkeypatch)
+        assert main(["align", "--features", str(dump),
+                     "--score", score]) == EXIT_CONFIG
+        assert raws == []
+        assert capsys.readouterr().err == (
+            "scoresync: align: pitch 72 outside filterbank range 40..69\n")
 
     def test_top_bands_past_nyquist_fail_a_low_score(self, tmp_path, capsys):
         # the score's bands fit below 4 kHz, but the bank's top ones do not

@@ -1,10 +1,14 @@
+import importlib.util
+import pathlib
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoresync import (ConfigurationError, TempoMap, beat_to_seconds,
-                       evaluate, synthesize)
+                       evaluate, synth_eval, synthesize)
 from scoresync.synth_eval import ERROR_THRESHOLDS_MS
 
 from helpers import make_score
@@ -120,6 +124,52 @@ class TestSynthesize:
         score = make_score([0.0], [[60]])
         with pytest.raises(ConfigurationError, match="sample_rate"):
             synthesize(score, tempo((0.0, 120.0)), sample_rate=rate)
+
+    @staticmethod
+    def refuse_allocation(monkeypatch):
+        """Fail the test if a render allocates its mix: synth_eval's numpy
+        becomes one whose zeros fails."""
+        def zeros(*args, **kwargs):
+            pytest.fail("the mix was allocated")
+        monkeypatch.setattr(synth_eval, "np", types.SimpleNamespace(
+            **{**vars(np), "zeros": zeros}))
+
+    @pytest.mark.parametrize("rate", [10 ** 11, 2 ** 28 + 1, 10 ** 400],
+                             ids=["1e11", "cap+1", "past-float-range"])
+    def test_render_past_the_cap_rejected_before_allocating(
+            self, monkeypatch, rate):
+        score = make_score([0.0, 1.0], [[60], [64]])
+        self.refuse_allocation(monkeypatch)
+        with pytest.raises(ConfigurationError,
+                           match="is more than 268435456 samples"):
+            synthesize(score, tempo((0.0, 120.0)), sample_rate=rate)
+
+    def test_render_that_never_ends_rejected_before_allocating(
+            self, monkeypatch):
+        # 60 / 1e-320 BPM is an infinite beat
+        score = make_score([0.0, 1.0], [[60], [64]])
+        self.refuse_allocation(monkeypatch)
+        with pytest.raises(ConfigurationError, match="render of inf s"):
+            synthesize(score, tempo((0.0, 1e-320)))
+
+    def test_render_of_exactly_the_cap_admitted(self, monkeypatch):
+        # 0.5 s to the last chord and the 1 s it rings: 1,500 samples
+        score = make_score([0.0, 1.0], [[60], [64]])
+        monkeypatch.setattr(synth_eval, "_MAX_SAMPLES", 1500)
+        audio, _ = synthesize(score, tempo((0.0, 120.0)), sample_rate=1000)
+        assert len(audio.samples) == 1500
+        monkeypatch.setattr(synth_eval, "_MAX_SAMPLES", 1499)
+        with pytest.raises(ConfigurationError, match="more than 1499"):
+            synthesize(score, tempo((0.0, 120.0)), sample_rate=1000)
+
+    def test_cap_admits_every_benchmark_piece(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+            / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for w in workloads.WORKLOADS.values():
+            assert w.seconds * w.sample_rate <= synth_eval._MAX_SAMPLES
 
 
 class TestEvaluate:
