@@ -8,6 +8,10 @@ of a package error comes from its class (``_EXIT_CODES``) and its printed
 prefix from the stage, except that an audio error always prints as
 ``audio``. A builtin exception that a stage lists, such as an OSError,
 exits with that stage's code.
+
+Every output file is written under a temporary name beside its path and
+renamed into place only once whole (``_write_files``), so a write that
+fails leaves any file it would replace as it was; stdout is a stream.
 """
 
 import argparse
@@ -110,7 +114,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigurationError(
-                f"{path}:{lineno}: expected key=value, got {line!r}")
+                f"{path!r} line {lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -178,22 +182,28 @@ def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
                          f"(expected .mid, .midi, or .json)")
 
 
+def _write_text(path: str, writer) -> None:
+    """``writer(out)`` on the file at ``path`` opened as text with ``\\n``
+    line endings."""
+    with open(path, "w", newline="\n") as out:
+        writer(out)
+
+
 def _write_out(path, writer) -> None:
-    """``writer(out)`` on the file at ``path``, or on stdout when it is
-    None (left open, but flushed so that a closed pipe fails here); an
-    OSError fails the ``output`` stage."""
+    """``writer(out)`` on the file at ``path``, written through
+    ``_write_files``, or on stdout when it is None (left open, but flushed
+    so that a closed pipe fails here); an OSError fails the ``output``
+    stage."""
+    if path is not None:
+        return _write_files({path: lambda temp: _write_text(temp, writer)})
     with _stage("output", (OSError,)):
         try:
-            with (contextlib.nullcontext(sys.stdout) if path is None
-                  else open(path, "w", newline="\n")) as out:
-                writer(out)
-                out.flush()
+            writer(sys.stdout)
+            sys.stdout.flush()
         except OSError:
-            if path is None:
-                # drop what is left in the buffer, which would fail again
-                # when Python flushes stdout at exit
-                os.dup2(os.open(os.devnull, os.O_WRONLY),
-                        sys.stdout.fileno())
+            # drop what is left in the buffer, which would fail again
+            # when Python flushes stdout at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
 
 
@@ -201,23 +211,28 @@ def _write_files(writers: dict) -> None:
     """Call each ``writer(temp)`` of ``writers`` ({path: writer}) on a
     temporary path beside its ``path`` and rename the files over their
     paths once all are written, so that an OSError, which fails the
-    ``output`` stage, leaves none of them. A path that is a link or
-    exists but is not a regular file, such as ``/dev/stdout``, is
-    written in place rather than replaced."""
+    ``output`` stage, leaves none of them; a file replaced this way keeps
+    its permission bits. A path that is a link, exists but is not a
+    regular file, such as ``/dev/stdout``, or lies in a directory this
+    process cannot write is written in place rather than replaced."""
     temps = {path: path if os.path.islink(path) or (
                  os.path.exists(path) and not os.path.isfile(path))
+                 or not os.access(os.path.dirname(path) or ".", os.W_OK)
              else f"{path}.{os.getpid()}.tmp" for path in writers}
     try:
         with _stage("output", (OSError,)):
             for path, writer in writers.items():
                 writer(temps[path])
+                if temps[path] != path and os.path.isfile(path):
+                    os.chmod(temps[path], os.stat(path).st_mode & 0o7777)
             for path, temp in temps.items():
                 os.replace(temp, path)
     finally:
-        for path, temp in temps.items():
-            if temp != path:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(temp)
+        # a temporary file that cannot be removed, even for a reason such
+        # as a name too long to create, must not hide why the write failed
+        for temp in set(temps.values()) - set(writers):
+            with contextlib.suppress(OSError):
+                os.remove(temp)
 
 
 def _parse_tempo(text: str) -> synth_eval.TempoMap:
@@ -326,12 +341,9 @@ def cmd_align(args) -> None:
             dump.values[bands.start - dump.midi_low:][:len(bands)]))
     with _stage("align"):
         result = dp_align.align(score, extract_features(raw), params)
-    if args.format == "json":
-        _write_out(args.out, lambda out: formats.dump_json(
-            out, dataclasses.asdict(result)))
-    else:
-        _write_out(args.out,
-                   lambda out: formats.write_alignment_csv(out, result))
+    _write_out(args.out, lambda out: formats.dump_json(
+        out, dataclasses.asdict(result)) if args.format == "json"
+        else formats.write_alignment_csv(out, result))
 
 
 def cmd_features(args) -> None:
@@ -362,7 +374,7 @@ def cmd_synth(args) -> None:
     _write_files({
         args.out: lambda path: _scipy.wavfile.write(
             path, audio.sample_rate, audio.samples.astype(np.float32)),
-        args.truth_out or f"{args.out}.truth.csv": lambda path: _write_out(
+        args.truth_out or f"{args.out}.truth.csv": lambda path: _write_text(
             path, lambda out: formats.write_truth_csv(out, score, truth))})
 
 

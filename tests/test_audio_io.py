@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from scoresync import (AudioReadError, EmptyAudioError, UnsupportedAudioError,
                        load_wav)
@@ -104,4 +105,12 @@ def test_garbage_file_reports_unreadable(tmp_path):
     path = tmp_path / "garbage.wav"
     path.write_bytes(b"this is not a wav file at all")
     with pytest.raises(AudioReadError):
+        load_wav(str(path))
+
+
+def test_int64_pcm_reports_unsupported(tmp_path):
+    path = tmp_path / "int64.wav"
+    wavfile.write(str(path), 8000, np.arange(100, dtype=np.int64))
+    with pytest.raises(UnsupportedAudioError,
+                       match="unsupported sample format int64"):
         load_wav(str(path))

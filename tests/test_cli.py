@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
+import errno
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -9,7 +12,8 @@ import types
 import numpy as np
 import pytest
 
-from scoresync import AlignmentParams, FilterbankConfig, cli, synth_eval
+from scoresync import (AlignmentParams, FilterbankConfig, _gformat, cli,
+                       formats, synth_eval)
 from scoresync.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_SCORE,
                            main)
 from scoresync.errors import (AudioReadError, ConfigurationError,
@@ -286,6 +290,17 @@ class TestAlign:
     def test_missing_audio_is_io_error(self, score_path, tmp_path):
         assert main(["align", "--audio", str(tmp_path / "no.wav"),
                      "--score", score_path]) == EXIT_IO
+
+    def test_non_finite_sample_is_io_error(self, score_path, tmp_path,
+                                           capsys):
+        wav = tmp_path / "nan.wav"
+        write_wav(wav, 22050, [[0.0] * 22050 + [float("nan")]], fmt="f32")
+        out = tmp_path / "alignment.csv"
+        assert main(["align", "--audio", str(wav), "--score", score_path,
+                     "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: audio: {str(wav)!r} contains non-finite samples\n")
+        assert not out.exists()
 
     def test_pitch_range_mismatch_is_config_error(self, piece, tmp_path,
                                                   capsys):
@@ -696,6 +711,206 @@ class TestFeatures:
         assert capsys.readouterr().out.startswith("frame,p21")
 
 
+def _child_env():
+    """The environment of a child ``python`` that imports this checkout's
+    scoresync and writes no bytecode."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestOutputFiles:
+    """Every ``--out`` is written under a temporary name beside its path
+    and renamed into place whole: a write that fails or is interrupted
+    leaves the file it would replace as it was, and no temporary file."""
+
+    @pytest.fixture
+    def long_piece(self, tmp_path):
+        """A 13 s piece: more than two 256-frame blocks of a feature CSV."""
+        score = tmp_path / "long.json"
+        score.write_text(json.dumps([
+            {"beat": float(i), "pitches": [48 + i % 24, 67]}
+            for i in range(26)]))
+        wav = tmp_path / "long.wav"
+        assert main(["synth", "--score", str(score), "--seed", "1",
+                     "--out", str(wav)]) == 0
+        return str(wav)
+
+    def test_interrupted_dump_keeps_the_old_one(self, long_piece, tmp_path,
+                                                monkeypatch):
+        dump = tmp_path / "d.csv"
+        args = ["features", "--audio", long_piece, "--feature", "raw",
+                "--precision", "full", "--out", str(dump)]
+        assert main(args) == 0
+        old = dump.read_bytes()
+        calls = []
+        format_rows = _gformat.format_rows
+
+        def interrupted(*call):
+            calls.append(call)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return format_rows(*call)
+
+        monkeypatch.setattr(_gformat, "format_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert len(calls) == 3
+        assert dump.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_file_size_limit_keeps_the_old_dump(self, piece, tmp_path):
+        dump = tmp_path / "d.csv"
+        args = ["features", "--audio", piece["wav"], "--precision", "full",
+                "--out", str(dump)]
+        assert main(args) == 0
+        old = dump.read_bytes()
+        assert len(old) > 65536
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))\n"
+             "from scoresync.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", *args],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == EXIT_IO
+        assert child.stderr.startswith(
+            f"scoresync: output: [Errno {errno.EFBIG}] ")
+        assert dump.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_alignment_write_keeps_the_old_file(
+            self, piece, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "alignment.csv"
+        args = ["align", "--audio", piece["wav"], "--score", piece["score"],
+                "--out", str(out)]
+        assert main(args) == 0
+        old = out.read_bytes()
+        write_alignment_csv = formats.write_alignment_csv
+
+        def write_part(f, result):
+            text = io.StringIO()
+            write_alignment_csv(text, result)
+            f.write(text.getvalue()[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(formats, "write_alignment_csv", write_part)
+        assert main(args) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: output: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert out.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_temporary_file_left_unremoved_keeps_the_write_error(
+            self, score_path, tmp_path, monkeypatch, capsys):
+        # as when the temporary name is too long to create or remove
+        def write_none(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def refuse(path):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
+
+        monkeypatch.setattr(formats, "write_truth_csv", write_none)
+        monkeypatch.setattr(os, "remove", refuse)
+        assert main(["synth", "--score", score_path,
+                     "--out", str(tmp_path / "x.wav")]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: output: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert not (tmp_path / "x.wav").exists()
+
+    def test_dev_stdout_is_written_in_place(self, piece, tmp_path, capfd):
+        args = ["align", "--audio", piece["wav"], "--score", piece["score"]]
+        out = tmp_path / "alignment.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args + ["--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("command", ["synth", "align", "features"])
+    def test_replaced_file_keeps_its_permission_bits(
+            self, piece, tmp_path, umask_022, command):
+        out = tmp_path / "out"
+        outputs = {"synth": [out, tmp_path / "out.truth.csv"],
+                   "align": [out], "features": [out]}[command]
+        for path in outputs:
+            path.write_text("old")
+            path.chmod(0o600)
+        args = {"synth": ["--score", piece["score"]],
+                "align": ["--audio", piece["wav"], "--score", piece["score"]],
+                "features": ["--audio", piece["wav"]]}[command]
+        assert main([command, *args, "--out", str(out)]) == 0
+        for path in outputs:
+            assert path.read_text(errors="replace") != "old"
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root may write any directory")
+    def test_directory_this_process_cannot_write_is_written_in_place(
+            self, score_path, tmp_path):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        out = locked / "x.wav"
+        out.write_text("old")
+        (locked / "x.wav.truth.csv").write_text("old")
+        locked.chmod(0o555)
+        try:
+            assert main(["synth", "--score", score_path,
+                         "--out", str(out)]) == 0
+        finally:
+            locked.chmod(0o755)
+        assert out.read_bytes()[:4] == b"RIFF"
+        assert (locked / "x.wav.truth.csv").read_text().startswith(
+            "score_index,beat,time_s\n")
+        assert sorted(os.listdir(locked)) == ["x.wav", "x.wav.truth.csv"]
+
+
+class TestMidiScore:
+    def test_synth_and_align_a_midi_score(self, midi_chords, tmp_path):
+        wav, out = tmp_path / "m.wav", tmp_path / "alignment.csv"
+        assert main(["synth", "--score", midi_chords, "--out", str(wav)]) \
+            == 0
+        assert main(["align", "--audio", str(wav), "--score", midi_chords,
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+        assert {row[2] for row in rows} == {"60+64"}
+
+    def test_chord_tolerance_groups_notes_ticks_apart(self, midi_chords,
+                                                      tmp_path):
+        wav = tmp_path / "m.wav"
+        assert main(["synth", "--score", midi_chords, "--out", str(wav)]) \
+            == 0
+        spread = tmp_path / "spread.mid"
+        write_midi(spread, [[(480 * i + 10 * (p == 64), p, 80)
+                             for i in range(6) for p in (60, 64)]])
+        for tolerance, onsets in [("0", 12), ("10", 6)]:
+            out = tmp_path / f"alignment{tolerance}.csv"
+            assert main(["align", "--audio", str(wav), "--score",
+                         str(spread), "--chord-tolerance", tolerance,
+                         "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 1 + onsets
+
+    def test_unknown_score_extension_is_score_error(self, piece, tmp_path,
+                                                    capsys):
+        score = tmp_path / "score.txt"
+        score.write_text(open(piece["score"]).read())
+        assert main(["align", "--audio", piece["wav"],
+                     "--score", str(score)]) == EXIT_SCORE
+        assert capsys.readouterr().err == (
+            f"scoresync: score: cannot detect score format of "
+            f"{str(score)!r} (expected .mid, .midi, or .json)\n")
+
+
 class TestOverflowingAudio:
     """A float WAV whose samples are finite but so large that the band
     filters overflow fails with exit 3 naming the band, on every command
@@ -1070,6 +1285,23 @@ class TestConfigFile:
             f"scoresync: config: {str(cfg)!r} line 2: 'utf-8' codec can't "
             f"decode byte 0xff in position 13: invalid start byte\n")
         assert not out.exists()
+
+    def test_line_without_equals_names_the_file_and_line(self, tmp_path,
+                                                         piece, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("frame_rate 50\n")
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"scoresync: config: {str(cfg)!r} line 1: expected key=value, "
+            f"got 'frame_rate 50'\n")
+
+    def test_missing_config_file_names_it(self, tmp_path, piece, capsys):
+        cfg = str(tmp_path / "missing.cfg")
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"scoresync: config: cannot read config {cfg!r}: [Errno 2] ")
 
     def test_unknown_pitch_aggregation_flag_is_usage_error(self, score_path):
         with pytest.raises(SystemExit) as excinfo:
