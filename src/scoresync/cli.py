@@ -73,11 +73,6 @@ def _stage(name: str, builtins=(), code: int = EXIT_IO):
         raise _Exit(f"{name}: {exc}", code) from exc
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"scoresync: {message}", file=sys.stderr)
-    return code
-
-
 _FILTERBANK_FLAGS = ("frame_rate", "window_factor")
 
 
@@ -156,12 +151,13 @@ def _build(cls, settings: dict):
 
 
 def _settings(args, *classes) -> list:
-    """An instance of each of ``classes`` from the merged settings, built
-    in the ``config`` stage, where a ValueError (a config line that is not
+    """The merged settings, which hold only the keys a flag or the config
+    file set, then an instance of each of ``classes`` built from them, in
+    the ``config`` stage, where a ValueError (a config line that is not
     UTF-8) exits 6 too."""
     with _stage("config", (ValueError,), EXIT_CONFIG):
         settings = _merge_settings(args)
-        return [_build(cls, settings) for cls in classes]
+        return [settings] + [_build(cls, settings) for cls in classes]
 
 
 def _load_score(path: str, chord_tolerance: int) -> score_mod.ScoreSequence:
@@ -209,16 +205,22 @@ def _write_out(path, writer) -> None:
 
 def _write_files(writers: dict) -> None:
     """Call each ``writer(temp)`` of ``writers`` ({path: writer}) on a
-    temporary path beside its ``path`` and rename the files over their
-    paths once all are written, so that an OSError, which fails the
-    ``output`` stage, leaves none of them; a file replaced this way keeps
-    its permission bits. A path that is a link, exists but is not a
-    regular file, such as ``/dev/stdout``, or lies in a directory this
-    process cannot write is written in place rather than replaced."""
+    temporary path in the directory of its ``path``,
+    ``scoresync.<pid>.<k>.tmp`` for the ``k``-th path, whose length does
+    not depend on the path's, and rename the files over their paths once
+    all are written, so that an OSError, which fails the ``output`` stage,
+    leaves none of them; a file replaced this way keeps its permission
+    bits. A path that is a link, exists but is not a regular file that
+    this process may write, such as ``/dev/stdout`` or a read-only file,
+    or lies in a directory this process cannot write is written in place
+    rather than replaced, so a read-only file fails the write."""
     temps = {path: path if os.path.islink(path) or (
-                 os.path.exists(path) and not os.path.isfile(path))
+                 os.path.exists(path) and not (os.path.isfile(path)
+                                               and os.access(path, os.W_OK)))
                  or not os.access(os.path.dirname(path) or ".", os.W_OK)
-             else f"{path}.{os.getpid()}.tmp" for path in writers}
+             else os.path.join(os.path.dirname(path),
+                               f"scoresync.{os.getpid()}.{k}.tmp")
+             for k, path in enumerate(writers)}
     try:
         with _stage("output", (OSError,)):
             for path, writer in writers.items():
@@ -228,8 +230,8 @@ def _write_files(writers: dict) -> None:
             for path, temp in temps.items():
                 os.replace(temp, path)
     finally:
-        # a temporary file that cannot be removed, even for a reason such
-        # as a name too long to create, must not hide why the write failed
+        # a temporary file that cannot be removed, such as one never
+        # created, must not hide why the write failed
         for temp in set(temps.values()) - set(writers):
             with contextlib.suppress(OSError):
                 os.remove(temp)
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--format", choices=("csv", "json"), default="csv")
     p_align.add_argument("--config", help="key=value parameter file")
     p_align.add_argument("--chord-tolerance", type=int, default=0,
-                         dest="chord_tolerance",
                          help="MIDI tick tolerance for chord grouping")
     _add_flags(p_align, FilterbankConfig, _FILTERBANK_FLAGS)
     _add_flags(p_align, dp_align.AlignmentParams)
@@ -300,17 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
                          default=_parse_tempo("0:120"),
                          help="tempo map BEAT:BPM[,BEAT:BPM...] "
                               "(default 0:120)")
-    p_synth.add_argument("--sample-rate", type=int, default=22050,
-                         dest="sample_rate")
-    p_synth.add_argument("--noise-level", type=float, default=0.0,
-                         dest="noise_level")
+    p_synth.add_argument("--sample-rate", type=int, default=22050)
+    p_synth.add_argument("--noise-level", type=float, default=0.0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output WAV path")
-    p_synth.add_argument("--truth-out", dest="truth_out",
-                         help="ground-truth CSV path "
-                              "(default <out>.truth.csv)")
-    p_synth.add_argument("--chord-tolerance", type=int, default=0,
-                         dest="chord_tolerance")
+    p_synth.add_argument("--truth-out", help="ground-truth CSV path "
+                                             "(default <out>.truth.csv)")
+    p_synth.add_argument("--chord-tolerance", type=int, default=0)
 
     p_eval = sub.add_parser("eval",
                             help="score an alignment against ground truth")
@@ -321,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_align(args) -> None:
-    params, config = _settings(args, dp_align.AlignmentParams,
-                               FilterbankConfig)
+    settings, params, config = _settings(args, dp_align.AlignmentParams,
+                                         FilterbankConfig)
     score = _load_score(args.score, args.chord_tolerance)
     if args.audio is not None:
         # taken from a zero-frame spectrogram of the config's bank, so that
@@ -334,7 +331,13 @@ def cmd_align(args) -> None:
                                       pitches=bands)
     else:
         with _stage("features", (OSError, ValueError)):
+            # read at the rate the dump states; a dump that states none, at
+            # the configured one
             dump = formats.read_feature_csv(args.features, config.frame_rate)
+            if settings.get("frame_rate", dump.frame_rate) != dump.frame_rate:
+                raise ConfigurationError(
+                    f"frame_rate {config.frame_rate!r} differs from the rate "
+                    f"{dump.frame_rate!r} that {args.features!r} states")
         # the same rows of the dump, a view
         bands = _score_bands(score, dump)
         raw = dataclasses.replace(dump, midi_low=bands.start, values=(
@@ -347,7 +350,7 @@ def cmd_align(args) -> None:
 
 
 def cmd_features(args) -> None:
-    [config] = _settings(args, FilterbankConfig)
+    _, config = _settings(args, FilterbankConfig)
     with _stage("filterbank"):
         raw = compute_spectrogram(load_wav(args.audio), config)
     matrix = {"raw": lambda: raw,
@@ -408,7 +411,8 @@ def main(argv=None) -> int:
         with _stage(args.command):
             _COMMANDS[args.command](args)
     except _Exit as exc:
-        return _fail(str(exc), exc.code)
+        print(f"scoresync: {exc}", file=sys.stderr)
+        return exc.code
     return 0
 
 

@@ -9,6 +9,15 @@ Row t is frame t, and the reader rejects a ``frame`` column that does not
 number the rows 0, 1, ..., so a dump with missing or reordered rows
 cannot shift the frames after them.
 
+A feature CSV states its own frame rate and length on the line before its
+header, ``# frame_rate=<repr of the rate> frames=<frame count>``, so the
+reader takes the rate from the file and rejects a file whose rows run out
+before, or go on past, the frames it states: a dump cut short, such as
+the head of a pipe, fails instead of aligning. A CSV without that line,
+such as one written by hand, is read at the rate the caller passes.
+Readers that do not skip ``#`` lines, such as pandas, need
+``comment="#"``; ``np.loadtxt`` skips them by default.
+
 Feature CSVs are written in blocks of ``_BLOCK_ROWS`` frames, in this
 process and in order. A block is formatted by ``_gformat``, an exact
 vectorized ``%g`` at 6 and 17 significant digits: an integer product of
@@ -81,9 +90,11 @@ def _format_rows(line: str, t0: int, rows: np.ndarray) -> str:
 
 def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
                       precision=6) -> None:
-    """The header of ``_feature_header``, then one row per frame, each
-    the bytes of one ``%`` over the whole row, formatted and written
-    ``_BLOCK_ROWS`` frames at a time in this process.
+    """The line ``# frame_rate=<rate> frames=<count>`` that states the
+    spectrogram's rate and frame count, the header of ``_feature_header``,
+    then one row per frame, each the bytes of one ``%`` over the whole
+    row, formatted and written ``_BLOCK_ROWS`` frames at a time in this
+    process.
 
     A block whose values all lie in the domain of ``_gformat``, +0.0 and
     positive normal doubles over a range of exponents, is formatted by
@@ -91,7 +102,9 @@ def write_feature_csv(out: IO[str], spectrogram: Spectrogram,
     -0.0, a subnormal or a negative value, by ``_format_rows``, whose
     bytes the kernel's equal.
     """
-    out.write(_feature_header(spectrogram.midi_low, spectrogram.num_bands)
+    out.write(f"# frame_rate={float(spectrogram.frame_rate)!r} "
+              f"frames={spectrogram.num_frames}\n"
+              + _feature_header(spectrogram.midi_low, spectrogram.num_bands)
               + "\n")
     digits = 17 if precision == "full" else int(precision)
     line = ("%d," + ",".join([f"%.{digits}g"] * spectrogram.num_bands)
@@ -215,10 +228,32 @@ def _decoded(line: bytes, path: str, lineno: int) -> str:
         raise ValueError(f"{path!r} line {lineno}: {exc}") from None
 
 
+def _stated(line: bytes, path: str) -> tuple[float, int]:
+    """The frame rate and the frame count that ``line``, line 1 of the
+    feature CSV at ``path``, states as ``# frame_rate=<rate>
+    frames=<count>``; a ValueError naming the line if it lacks either key,
+    or its rate is not a finite positive number or its count not a
+    non-negative integer."""
+    text = _decoded(line, path, 1).strip()
+    fields = dict(pair.partition("=")[::2] for pair in text[1:].split())
+    try:
+        rate, frames = float(fields["frame_rate"]), fields["frames"]
+        if math.isfinite(rate) and rate > 0 and frames.isdecimal():
+            return rate, int(frames)
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"{path!r} line 1: expected '# frame_rate=<rate> "
+                     f"frames=<count>', got {text!r}")
+
+
 def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     """Parse a feature CSV back into a Spectrogram.
 
-    The CSV carries no frame rate, so the effective rate must be supplied.
+    A CSV whose line 1 starts with ``#`` must state its rate and frame
+    count there (``_stated``), as ``write_feature_csv`` writes them: it is
+    read at that rate, and a ValueError names both counts unless exactly
+    that many rows follow its header. A CSV without that line, whose
+    header is line 1, is read at ``frame_rate``.
     ValueError unless it has at least one band column, a UTF-8 header that
     ``_feature_header`` would write with no band past MIDI pitch 127, and
     rows, all as wide as the header, of finite non-negative values, whose
@@ -237,7 +272,12 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
     naming its first bad line by the line number the loop carries.
     """
     with open(path, "rb") as f:
-        header = _decoded(f.readline(), path, 1).strip().split(",")
+        line, stated = f.readline(), None
+        if line.startswith(b"#"):
+            (frame_rate, stated), line = _stated(line, path), f.readline()
+        # the rows start on the line after the header
+        first = 2 if stated is None else 3
+        header = _decoded(line, path, first - 1).strip().split(",")
         if header[0] != "frame":
             raise ValueError(f"{path!r}: not a feature CSV (header {header!r})")
         if len(header) < 2:
@@ -252,8 +292,8 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         if midi_low + len(header) - 2 > 127:
             raise ValueError(f"{path!r}: band columns run past MIDI pitch "
                              f"127, got {header[-1]!r}")
-        # the rows start on line 2; a header-only CSV has no columns
-        columns, first = [np.empty((len(header), 0))], 2
+        # a header-only CSV has no columns
+        columns = [np.empty((len(header), 0))]
         while True:
             # the next _BLOCK_BYTES bytes and the rest of the line they end
             # in, in one buffer that the line extends in place: joining two
@@ -280,6 +320,9 @@ def read_feature_csv(path: str, frame_rate: float) -> Spectrogram:
         t = int(wrong[0])
         raise ValueError(f"{path!r}: frames must run 0, 1, ... one per row, "
                          f"but row {t} holds frame {frames[t]:g}")
+    if stated is not None and len(frames) != stated:
+        raise ValueError(f"{path!r}: line 1 states {stated} frames, but "
+                         f"{len(frames)} rows follow the header")
     values = columns[1:]
     if not np.all(np.isfinite(values) & (values >= 0)):
         raise ValueError(f"{path!r}: feature values must be finite and "

@@ -1,12 +1,19 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
 import io
 import json
 import os
+import pathlib
+import shutil
+import signal
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
+import traceback
 import types
 
 import numpy as np
@@ -408,7 +415,8 @@ class TestAlign:
 
     def test_header_only_dump_is_io_error(self, piece, tmp_path):
         raw, lines = self._dump_rows(piece, tmp_path)
-        assert self._align_dump(piece, raw, lines[:1]) == EXIT_IO
+        # the stated line and the header
+        assert self._align_dump(piece, raw, lines[:2]) == EXIT_IO
 
     def test_dump_without_band_columns_is_io_error(self, piece, tmp_path,
                                                    capsys):
@@ -468,7 +476,7 @@ class TestAlign:
         # row t is read as frame t, so a dump with missing, reordered or
         # renumbered rows would shift every onset after the edit
         raw, lines = self._dump_rows(piece, tmp_path)
-        header, rows = lines[0], lines[1:]
+        head, rows = lines[:2], lines[2:]
         if edit == "gap":
             del rows[50:80]
         elif edit == "swap":
@@ -477,7 +485,7 @@ class TestAlign:
             shift = 1 if edit == "offset" else 0.5
             rows = [f"{int(row.split(',', 1)[0]) + shift},"
                     f"{row.split(',', 1)[1]}" for row in rows]
-        assert self._align_dump(piece, raw, [header] + rows) == EXIT_IO
+        assert self._align_dump(piece, raw, head + rows) == EXIT_IO
         assert "frames must run 0, 1, ..." in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
@@ -503,6 +511,157 @@ class TestAlign:
             main(["align", "--audio", piece["wav"], "--features", "x.csv",
                   "--score", piece["score"]])
         assert excinfo.value.code == 2
+
+
+def _align_from_pipe(data, args):
+    """``main(["align", "--features", "/dev/fd/<n>", *args])``, the read
+    end of a pipe that a thread fills with ``data``."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with open(w, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass  # the reader stopped before the end
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return main(["align", "--features", f"/dev/fd/{r}", *args])
+    finally:
+        # with no read end left open, a blocked writer gets EPIPE
+        os.close(r)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+# the effective frame rate at 11.025 kHz: a hop of 220 samples
+RATE_11K = "50.11363636363637"
+
+
+class TestDumpStatesItsRate:
+    """A dump states its frame rate and frame count on line 1, so
+    ``align --features`` needs no ``--frame-rate``: it aligns at the rate
+    the dump states, an explicit ``frame_rate`` that differs exits 6, and
+    a dump whose rows run out before the count exits 3."""
+
+    @staticmethod
+    def dump(tmp_path, score, rate, flags=()):
+        """The full-precision raw dump of a piece synthesized at ``rate``
+        Hz, and the bytes of ``align --audio`` on it, each with ``flags``."""
+        wav = tmp_path / f"piece{rate}.wav"
+        assert main(["synth", "--score", score, "--tempo", "0:120",
+                     "--noise-level", "0.01", "--seed", "7",
+                     "--sample-rate", str(rate), "--out", str(wav)]) == 0
+        dump = tmp_path / f"d{rate}.csv"
+        assert main(["features", "--audio", str(wav), "--feature", "raw",
+                     "--precision", "full", *flags, "--out", str(dump)]) == 0
+        direct = tmp_path / f"direct{rate}.csv"
+        assert main(["align", "--audio", str(wav), "--score", score, *flags,
+                     "--out", str(direct)]) == 0
+        return dump, direct.read_bytes()
+
+    # the archive's window factor at 11.025 kHz, whose hop of 220 gives a
+    # rate other than 50; at the other rates the hop gives exactly 50
+    @pytest.mark.parametrize("rate, flags", [
+        (11025, ["--window-factor", "2"]), (16000, []), (22050, []),
+        (44100, []), (48000, [])])
+    def test_no_frame_rate_needed(self, score_path, tmp_path, rate, flags):
+        dump, direct = self.dump(tmp_path, score_path, rate, flags)
+        expected = 50.0 if rate != 11025 else float(RATE_11K)
+        lines = dump.read_text().splitlines()
+        assert lines[0] == (f"# frame_rate={expected!r} "
+                            f"frames={len(lines) - 2}")
+        out = tmp_path / "from_dump.csv"
+        assert main(["align", "--features", str(dump), "--score", score_path,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == direct
+        piped = tmp_path / "from_pipe.csv"
+        assert _align_from_pipe(dump.read_bytes(), [
+            "--score", score_path, "--out", str(piped)]) == 0
+        assert piped.read_bytes() == direct
+
+    def test_agreeing_frame_rate_gives_the_same_bytes(self, score_path,
+                                                       tmp_path):
+        dump, direct = self.dump(tmp_path, score_path, 11025,
+                                 ["--window-factor", "2"])
+        config = tmp_path / "rate.cfg"
+        config.write_text(f"frame_rate={RATE_11K}\n")
+        for source in (["--frame-rate", RATE_11K], ["--config", str(config)]):
+            out = tmp_path / "from_dump.csv"
+            assert main(["align", "--features", str(dump), "--score",
+                         score_path, *source, "--out", str(out)]) == 0
+            assert out.read_bytes() == direct
+
+    @pytest.mark.parametrize("rate, given", [(11025, "50"), (22050, "25")])
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_disagreeing_frame_rate_is_config_error(
+            self, score_path, tmp_path, capsys, rate, given, by):
+        dump, _ = self.dump(tmp_path, score_path, rate)
+        config = tmp_path / "rate.cfg"
+        config.write_text(f"frame_rate={given}\n")
+        source = (["--frame-rate", given] if by == "flag"
+                  else ["--config", str(config)])
+        out = tmp_path / "from_dump.csv"
+        capsys.readouterr()
+        assert main(["align", "--features", str(dump), "--score", score_path,
+                     *source, "--out", str(out)]) == EXIT_CONFIG
+        stated = 50.0 if rate == 22050 else float(RATE_11K)
+        assert capsys.readouterr().err == (
+            f"scoresync: features: frame_rate {float(given)!r} differs from "
+            f"the rate {stated!r} that {str(dump)!r} states\n")
+        assert not out.exists()
+
+    def test_cut_dump_is_io_error(self, score_path, tmp_path, capsys):
+        dump, _ = self.dump(tmp_path, score_path, 11025,
+                            ["--window-factor", "2"])
+        frames = len(dump.read_text().splitlines()) - 2
+        # as `head -n 100` would cut it: the stated line, the header and
+        # 98 rows
+        cut = b"".join(dump.read_bytes().splitlines(keepends=True)[:100])
+        capsys.readouterr()
+        out = tmp_path / "from_cut.csv"
+        assert _align_from_pipe(cut, ["--score", score_path,
+                                      "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            f": line 1 states {frames} frames, but 98 rows follow the "
+            f"header\n")
+        dump.write_bytes(cut)
+        assert main(["align", "--features", str(dump), "--score", score_path,
+                     "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: features: {str(dump)!r}: line 1 states {frames} "
+            f"frames, but 98 rows follow the header\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["# frame_rate=fast frames=175",
+                                      "# frame_rate=50.0",
+                                      "# frame_rate=0 frames=175",
+                                      "# frame_rate=50.0 frames=-1"])
+    def test_bad_stated_line_is_io_error(self, piece, tmp_path, capsys,
+                                         line):
+        dump = tmp_path / "raw.csv"
+        assert main(["features", "--audio", piece["wav"], "--feature", "raw",
+                     "--precision", "full", "--out", str(dump)]) == 0
+        rows = dump.read_text().split("\n", 1)[1]
+        dump.write_text(line + "\n" + rows)
+        capsys.readouterr()
+        assert main(["align", "--features", str(dump),
+                     "--score", piece["score"]]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"scoresync: features: {str(dump)!r} line 1: expected "
+            f"'# frame_rate=<rate> frames=<count>'")
+
+    def test_dump_without_the_line_reads_at_the_frame_rate(self, score_path,
+                                                           tmp_path):
+        dump, direct = self.dump(tmp_path, score_path, 11025,
+                                 ["--window-factor", "2"])
+        dump.write_text(dump.read_text().split("\n", 1)[1])
+        out = tmp_path / "from_dump.csv"
+        assert main(["align", "--features", str(dump), "--score", score_path,
+                     "--frame-rate", RATE_11K, "--out", str(out)]) == 0
+        assert out.read_bytes() == direct
 
 
 class TestAlignScoreBands:
@@ -656,11 +815,12 @@ class TestFeatures:
         assert main(["features", "--audio", str(wav),
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("frame,p21,p22")
-        assert lines[0].endswith("p108")
-        assert len(lines) == 1 + 50
+        assert lines[0] == "# frame_rate=50.0 frames=50"
+        assert lines[1].startswith("frame,p21,p22")
+        assert lines[1].endswith("p108")
+        assert len(lines) == 2 + 50
         assert all(line.split(",", 1)[1].replace(",", "") == "0" * 88
-                   for line in lines[1:])
+                   for line in lines[2:])
 
     def test_tone_energy_lands_in_its_column(self, tmp_path):
         sr = 22050
@@ -672,7 +832,7 @@ class TestFeatures:
         assert main(["features", "--audio", str(wav), "--feature", "spec",
                      "--out", str(out)]) == 0
         rows = [line.split(",")[1:]
-                for line in out.read_text().splitlines()[1:]]
+                for line in out.read_text().splitlines()[2:]]
         sums = np.array([[float(v) for v in row] for row in rows]).sum(axis=0)
         assert sums.argmax() == 69 - 21
 
@@ -708,7 +868,8 @@ class TestFeatures:
 
     def test_stdout_when_no_out_path(self, piece, capsys):
         assert main(["features", "--audio", piece["wav"]]) == 0
-        assert capsys.readouterr().out.startswith("frame,p21")
+        assert capsys.readouterr().out.startswith(
+            "# frame_rate=50.0 frames=175\nframe,p21")
 
 
 def _child_env():
@@ -725,6 +886,71 @@ def umask_022():
     old = os.umask(0o022)
     yield
     os.umask(old)
+
+
+# the uid and gid that _main_unprivileged drops to where this process is
+# root, which may read or write any file
+NOBODY = 65534
+
+
+@pytest.fixture
+def unprivileged_dir(tmp_path):
+    """Where a test prepares the files of a command run by
+    ``_main_unprivileged``: ``tmp_path`` unless this process is root, else
+    a new directory under /tmp, since uid 65534 may not reach pytest's."""
+    if os.geteuid() != 0:
+        yield tmp_path
+        return
+    path = tempfile.mkdtemp(dir="/tmp")
+    try:
+        yield pathlib.Path(path)
+    finally:
+        shutil.rmtree(path)
+
+
+def _hand_over(root):
+    """Where this process is root, give ``root`` and everything in it to
+    uid 65534, the user ``_main_unprivileged`` runs a command as."""
+    if os.geteuid() == 0:
+        for folder, _, names in os.walk(root):
+            for path in [folder, *(os.path.join(folder, n) for n in names)]:
+                os.chown(path, NOBODY, NOBODY)
+
+
+def _main_unprivileged(argv):
+    """The exit code of ``main(argv)`` and what it prints to stderr, run in
+    this process unless it is root, else in a forked child that drops to
+    uid 65534. Such a child may not read the directories this process
+    loads modules from, so a test runs the same command in this process
+    first, to load every module that it needs."""
+    if os.geteuid() != 0:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child: it prints to the pipe and never returns to pytest
+        code = 70
+        try:
+            os.close(read_end)
+            with open(write_end, "w") as err, \
+                    contextlib.redirect_stderr(err):
+                try:
+                    # a child that hangs is killed rather than waited on
+                    signal.alarm(120)
+                    os.setgroups([])
+                    os.setgid(NOBODY)
+                    os.setuid(NOBODY)
+                    code = main(argv)
+                except BaseException:
+                    traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with open(read_end) as err:
+        printed = err.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), printed
 
 
 class TestOutputFiles:
@@ -812,7 +1038,7 @@ class TestOutputFiles:
 
     def test_temporary_file_left_unremoved_keeps_the_write_error(
             self, score_path, tmp_path, monkeypatch, capsys):
-        # as when the temporary name is too long to create or remove
+        # as when a temporary file was never created, or cannot be removed
         def write_none(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -853,25 +1079,75 @@ class TestOutputFiles:
             assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.skipif(os.geteuid() == 0,
-                        reason="root may write any directory")
     def test_directory_this_process_cannot_write_is_written_in_place(
-            self, score_path, tmp_path):
-        locked = tmp_path / "locked"
+            self, score_path, unprivileged_dir, umask_022):
+        score = shutil.copy(score_path, unprivileged_dir)
+        # loads every module the command needs before a child drops root
+        assert main(["synth", "--score", score,
+                     "--out", str(unprivileged_dir / "warm.wav")]) == 0
+        locked = unprivileged_dir / "locked"
         locked.mkdir()
         out = locked / "x.wav"
         out.write_text("old")
         (locked / "x.wav.truth.csv").write_text("old")
+        _hand_over(unprivileged_dir)
         locked.chmod(0o555)
         try:
-            assert main(["synth", "--score", score_path,
-                         "--out", str(out)]) == 0
+            code, err = _main_unprivileged(["synth", "--score", score,
+                                            "--out", str(out)])
         finally:
             locked.chmod(0o755)
+        assert (code, err) == (0, "")
         assert out.read_bytes()[:4] == b"RIFF"
         assert (locked / "x.wav.truth.csv").read_text().startswith(
             "score_index,beat,time_s\n")
         assert sorted(os.listdir(locked)) == ["x.wav", "x.wav.truth.csv"]
+
+    def test_read_only_file_is_not_replaced(self, piece, unprivileged_dir,
+                                            umask_022):
+        score, wav = (shutil.copy(piece[key], unprivileged_dir)
+                      for key in ("score", "wav"))
+        args = ["align", "--audio", wav, "--score", score, "--out"]
+        # loads every module the command needs before a child drops root
+        assert main(args + [str(unprivileged_dir / "warm.csv")]) == 0
+        out = unprivileged_dir / "ro.csv"
+        out.write_text("old\n")
+        _hand_over(unprivileged_dir)
+        out.chmod(0o444)
+        code, err = _main_unprivileged(args + [str(out)])
+        assert (code, err) == (EXIT_IO, (
+            f"scoresync: output: [Errno {errno.EACCES}] "
+            f"{os.strerror(errno.EACCES)}: {str(out)!r}\n"))
+        assert out.read_text() == "old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+        assert not list(unprivileged_dir.glob("*.tmp"))
+
+    def test_file_name_of_254_bytes_is_written(self, piece, tmp_path):
+        out = tmp_path / ("a" * 250 + ".csv")
+        assert len(os.fsencode(out.name)) == 254
+        assert main(["align", "--audio", piece["wav"], "--score",
+                     piece["score"], "--out", str(out)]) == 0
+        assert out.read_text().startswith("score_index,beat,")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_temporary_names_do_not_depend_on_the_paths(
+            self, score_path, tmp_path, monkeypatch):
+        temps = []
+        write_text = cli._write_text
+
+        def spy(path, writer):
+            temps.append(path)
+            return write_text(path, writer)
+
+        monkeypatch.setattr(cli, "_write_text", spy)
+        truth = tmp_path / "sub" / "t.csv"
+        truth.parent.mkdir()
+        assert main(["synth", "--score", score_path, "--out",
+                     str(tmp_path / "x.wav"), "--truth-out", str(truth)]) == 0
+        # the truth CSV is the second file synth writes
+        assert temps == [str(truth.parent / f"scoresync.{os.getpid()}.1.tmp")]
+        assert sorted(os.listdir(tmp_path)) == ["score.json", "sub", "x.wav"]
+        assert os.listdir(truth.parent) == ["t.csv"]
 
 
 class TestMidiScore:
@@ -1079,6 +1355,30 @@ class TestEval:
                      "--truth", piece["truth"]]) == EXIT_IO
         err = capsys.readouterr().err
         assert "a.csv" in err and "line 8" in err
+
+    def test_alignment_missing_a_column_rejected(self, piece, tmp_path,
+                                                 capsys):
+        aligned = tmp_path / "a.csv"
+        aligned.write_text("score_index,beat,frame\n0,0,0\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: eval: {str(aligned)!r}: missing columns "
+            f"{{'time_s'}}\n")
+
+    def test_alignment_time_not_a_number_rejected(self, piece, tmp_path,
+                                                  capsys):
+        aligned = self._perfect_alignment(piece, tmp_path)
+        lines = aligned.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[4] = "abc"
+        lines[3] = ",".join(fields)
+        aligned.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--alignment", str(aligned),
+                     "--truth", piece["truth"]]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"scoresync: eval: {str(aligned)!r} line 4: time_s must be a "
+            f"finite number, got 'abc'\n")
 
     @staticmethod
     def _reverse_rows(path):

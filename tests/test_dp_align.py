@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoresync import (AlignmentParams, ConfigurationError,
-                       InfeasiblePathError, align, stretch_cost, synthesize,
-                       update_beat_period)
+                       EmptyAudioError, InfeasiblePathError, ScoreError,
+                       align, stretch_cost, synthesize, update_beat_period)
 from scoresync import dp_align
 from scoresync import AudioBuffer, TempoMap, compute_spectrogram, \
     extract_features
@@ -702,3 +703,36 @@ class TestParamsValidation:
     def test_negative_reset_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             AlignmentParams(reset_threshold=-1.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"bp_min": 0.5}, "invalid beat-period bounds"),
+        ({"bp_min": 300.0, "bp_max": 250.0}, "invalid beat-period bounds"),
+        ({"bp_alpha": 1.5}, "bp_alpha must lie in [0, 1]"),
+        ({"bp_alpha": -0.5}, "bp_alpha must lie in [0, 1]"),
+        ({"sustain_frames": 0}, "sustain_frames must be >= 1"),
+        ({"initial_window": 0.0}, "initial_window must be positive"),
+        ({"max_window_frames": 0}, "max_window_frames must be >= 1")])
+    def test_out_of_range_value_rejected(self, fields, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            AlignmentParams(**fields)
+
+
+class TestAlignInputs:
+    """``align`` rejects inputs that no alignment fits before any DP."""
+
+    def test_empty_score_rejected(self):
+        feats = make_features(np.zeros((6, 10)), np.zeros((6, 10)))
+        with pytest.raises(ScoreError, match="empty score"):
+            align(make_score([], []), feats)
+
+    def test_onset_and_spec_shapes_must_agree(self):
+        feats = make_features(np.zeros((6, 10)), np.zeros((6, 11)))
+        with pytest.raises(ConfigurationError,
+                           match="onset/spec feature shapes differ"):
+            align(make_score([0.0], [[60]]), feats)
+
+    def test_zero_frames_rejected(self):
+        feats = make_features(np.zeros((6, 0)), np.zeros((6, 0)))
+        with pytest.raises(EmptyAudioError,
+                           match="features contain no frames"):
+            align(make_score([0.0], [[60]]), feats)

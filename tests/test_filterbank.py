@@ -250,6 +250,13 @@ class TestComputeSpectrogram:
             compute_spectrogram(AudioBuffer(np.zeros(22050), 22050),
                                 FilterbankConfig(frame_rate=frame_rate))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_bands": 0}, "num_bands must be >= 1"),
+        ({"window_factor": 0}, "window_factor must be >= 1")])
+    def test_config_below_one_rejected(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            FilterbankConfig(**fields)
+
     def test_huge_window_factor_equals_whole_signal_window(self):
         rng = np.random.default_rng(6)
         audio = AudioBuffer(rng.uniform(-0.4, 0.4, 22050 + 100), 22050)

@@ -84,11 +84,14 @@ def _matrix(frames):
 
 
 def _per_row(spectrogram, precision):
-    """The writer's bytes as one ``%`` per row gives them."""
+    """The writer's bytes as one ``%`` per row gives them, after the line
+    that states the rate and the frame count."""
     n = spectrogram.num_bands
     fmt = "%.17g" if precision == "full" else f"%.{precision}g"
     line = "%d," + ",".join([fmt] * n) + "\n"
-    return ("frame," + ",".join(f"p{spectrogram.midi_low + r}"
+    return (f"# frame_rate={spectrogram.frame_rate!r} "
+            f"frames={spectrogram.num_frames}\n"
+            + "frame," + ",".join(f"p{spectrogram.midi_low + r}"
                                 for r in range(n)) + "\n"
             + "".join(line % (t, *row.tolist())
                       for t, row in enumerate(spectrogram.values.T)))
@@ -101,7 +104,8 @@ def _written(spectrogram, precision):
 
 
 def _loadtxt(path):
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:].T
+    # the stated line and the header
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)[:, 1:].T
 
 
 def _csv(tmp_path, text, newline="\n"):
@@ -317,7 +321,7 @@ class TestReader:
                                          tmp_path, block_texts):
         request.getfixturevalue(paths)
         text = _per_row(_matrix(85), "full")
-        header, *rows = text.encode().splitlines(keepends=True)
+        stated, header, *rows = text.encode().splitlines(keepends=True)
         block = len(b"".join(rows[:3]))
         monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
         path = _csv(tmp_path, text)
@@ -376,7 +380,7 @@ class TestKernelRead:
                                     midi_low=40), precision)
         path = _csv(tmp_path, text)
         expected = [[float(x) for x in line.split(",")[1:]]
-                    for line in text.splitlines()[1:]]
+                    for line in text.splitlines()[2:]]
         assert np.array_equal(
             _bits(formats.read_feature_csv(path, 50.0).values),
             _bits(expected).T)
@@ -386,7 +390,7 @@ class TestKernelRead:
         # frames 3, 40, 41 and 50: a subnormal, the largest double, 1e300
         # and zeros, so the block holds every kind of byte a field can
         lines = text.splitlines(keepends=True)
-        block = b"".join(lines[1 + t] for t in (3, 40, 41, 50))
+        block = b"".join(lines[2 + t] for t in (3, 40, 41, 50))
         declined = 0
         for at in range(len(block)):
             for byte in b".e-+,\n x":
@@ -407,7 +411,7 @@ class TestKernelRead:
                                                  column):
         # column 0 of the first line is the first byte of the block
         lines = _per_row(_matrix(85), "full").encode().splitlines(
-            keepends=True)[1:4]
+            keepends=True)[2:5]
         fields = lines[0].split(b",")
         fields[column] = field.encode()
         lines[0] = b",".join(fields)
@@ -434,7 +438,7 @@ class TestKernelRead:
 
     def test_lines_that_are_not_whole_rows_are_declined(self, kernel):
         lines = _per_row(_matrix(85), "full").encode().splitlines(
-            keepends=True)[1:4]
+            keepends=True)[2:5]
         # one line a value long and the next a value short: the block
         # holds as many values as three rows
         ragged = list(lines)
@@ -465,8 +469,8 @@ def _with_field(value):
                                   lambda row: row + ",0.5"],
                          ids=["word", "empty", "short", "long"])
 @READ_PATHS
-# line 2, the first row, is in block 0, which starts after the header
-@pytest.mark.parametrize("line", [2, 80])
+# line 3, the first row, is in block 0, which starts after the header
+@pytest.mark.parametrize("line", [3, 80])
 def test_bad_row_in_a_late_block_names_its_line(request, tmp_path, edit,
                                                 paths, line):
     request.getfixturevalue(paths)
@@ -487,8 +491,9 @@ def test_block_narrower_than_the_header_names_its_first_line(request, paths,
     path = _csv(tmp_path, text)
     formats.read_feature_csv(path, 50.0)
     assert len(block_texts) > 3
-    # the header and the first three blocks, which the edit leaves alone
-    head = text.encode()[:len(text.splitlines()[0]) + 1
+    # the stated line, the header and the first three blocks, which the
+    # edit leaves alone
+    head = text.encode()[:len("".join(text.splitlines(keepends=True)[:2]))
                          + len(b"".join(block_texts[:3]))]
     tail = text.encode()[len(head):].decode().splitlines()
     with open(path, "wb") as f:
@@ -561,3 +566,99 @@ def test_read_from_a_pipe(request, paths, tmp_path):
     with pytest.raises(ValueError, match=r"'/dev/fd/\d+' line "
                                          rf"{line}: expected a row of "):
         _read_from_pipe(("\n".join(lines) + "\n").encode())
+
+
+def _stated_dump(stated, rows):
+    """The full-precision dump of 85 frames, its line 1 stating ``stated``
+    frames, with only its first ``rows`` rows."""
+    lines = _per_row(_matrix(85), "full").splitlines(keepends=True)
+    lines[0] = lines[0].replace("frames=85", f"frames={stated}")
+    return "".join(lines[:2 + rows])
+
+
+class TestStatedLine:
+    """Line 1 of a dump states its frame rate and frame count: the reader
+    reads the dump at that rate and rejects one whose rows run out before,
+    or go on past, that count. A CSV without the line reads at the rate
+    the caller passes."""
+
+    def test_the_rate_comes_from_the_dump(self, tmp_path):
+        # the archive's effective rate, 11.025 kHz over a hop of 220
+        spectrogram = Spectrogram(values=_matrix(85).values,
+                                  frame_rate=11025 / 220, midi_low=60)
+        text = _written(spectrogram, "full")
+        assert text.startswith("# frame_rate=50.11363636363637 frames=85\n"
+                               "frame,p60,")
+        read = formats.read_feature_csv(_csv(tmp_path, text), 50.0)
+        assert read.frame_rate == 11025 / 220
+        assert read.midi_low == 60
+        assert np.array_equal(_bits(read.values), _bits(spectrogram.values))
+
+    def test_without_the_line_the_rate_is_the_argument(self, tmp_path):
+        text = _per_row(_matrix(85), "full").split("\n", 1)[1]
+        assert text.startswith("frame,")
+        read = formats.read_feature_csv(_csv(tmp_path, text), 25.0)
+        assert read.frame_rate == 25.0
+        assert np.array_equal(_bits(read.values), _bits(_matrix(85).values))
+
+    @READ_PATHS
+    @pytest.mark.parametrize("stated, rows", [(85, 40), (85, 84), (84, 85),
+                                              (86, 85)])
+    def test_rows_other_than_stated_name_both_counts(self, request, paths,
+                                                     tmp_path, stated, rows):
+        request.getfixturevalue(paths)
+        path = _csv(tmp_path, _stated_dump(stated, rows))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path!r}: line 1 states {stated} frames, but {rows} rows "
+                f"follow the header")):
+            formats.read_feature_csv(path, 50.0)
+
+    def test_a_cut_pipe_names_both_counts(self, small_blocks):
+        with pytest.raises(ValueError, match=r"'/dev/fd/\d+': line 1 states "
+                                             r"85 frames, but 60 rows "):
+            _read_from_pipe(_stated_dump(85, 60).encode())
+
+    @pytest.mark.parametrize("line", [
+        "#", "# frame_rate=50.0", "# frames=85", "# rate=50.0 frames=85",
+        "# frame_rate= frames=85", "# frame_rate=abc frames=85",
+        "# frame_rate=0 frames=85", "# frame_rate=-50.0 frames=85",
+        "# frame_rate=inf frames=85", "# frame_rate=nan frames=85",
+        "# frame_rate=1e999 frames=85", "# frame_rate=50.0 frames=",
+        "# frame_rate=50.0 frames=-1", "# frame_rate=50.0 frames=8.5",
+        "# frame_rate=50.0 frames=+85", "# frame_rate=50.0 frames=x"])
+    def test_bad_stated_line_names_line_1(self, tmp_path, line):
+        text = _per_row(_matrix(85), "full")
+        path = _csv(tmp_path, line + "\n" + text.split("\n", 1)[1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path!r} line 1: expected '# frame_rate=<rate> "
+                f"frames=<count>'") + ".*" + re.escape(f"got {line!r}")):
+            formats.read_feature_csv(path, 50.0)
+
+    def test_stated_line_not_utf8_names_line_1(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"# frame_rate=50.0\xff frames=85\n"
+                         + _per_row(_matrix(85), "full").split(
+                             "\n", 1)[1].encode())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{str(path)!r} line 1: 'utf-8' codec can't decode")):
+            formats.read_feature_csv(str(path), 50.0)
+
+    def test_header_after_the_stated_line_is_line_2(self, tmp_path):
+        path = tmp_path / "features.csv"
+        lines = _per_row(_matrix(85), "full").encode().splitlines(
+            keepends=True)
+        lines[1] = lines[1].replace(b"p61", b"p61\xff")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{str(path)!r} line 2: 'utf-8' codec can't decode")):
+            formats.read_feature_csv(str(path), 50.0)
+
+
+@pytest.mark.parametrize("stated", [False, True])
+def test_first_column_not_frame_is_rejected(tmp_path, stated):
+    lines = _per_row(_matrix(85), "full").splitlines(keepends=True)
+    lines[1] = lines[1].replace("frame,", "time,", 1)
+    path = _csv(tmp_path, "".join(lines[0 if stated else 1:]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path!r}: not a feature CSV (header ['time', 'p60',")):
+        formats.read_feature_csv(path, 50.0)

@@ -109,6 +109,30 @@ class TestFromMidi:
         with pytest.raises(ScoreError, match="SMPTE"):
             from_midi(str(path))
 
+    def test_short_mthd_chunk_rejected(self, tmp_path):
+        path = tmp_path / "short.mid"
+        path.write_bytes(b"MThd" + struct.pack(">IHH", 4, 0, 1))
+        with pytest.raises(ScoreError, match="malformed MThd chunk"):
+            from_midi(str(path))
+
+    def test_zero_ppq_rejected(self, tmp_path):
+        path = tmp_path / "zero.mid"
+        write_midi(path, [[(0, 60, 80)]], ppq=0)
+        with pytest.raises(ScoreError, match="zero pulses-per-quarter"):
+            from_midi(str(path))
+
+    def test_alien_chunk_skipped(self, tmp_path):
+        plain, alien = tmp_path / "plain.mid", tmp_path / "alien.mid"
+        write_midi(plain, [[(0, 60, 80), (480, 64, 80)]])
+        data = plain.read_bytes()
+        # an unknown chunk between the header (14 bytes) and the track
+        alien.write_bytes(data[:14] + b"XFIH" + struct.pack(">I", 3)
+                          + b"abc" + data[14:])
+        seq = from_midi(str(alien))
+        assert [(o.beat, o.pitches) for o in seq.onsets] == \
+            [(0.0, (60,)), (1.0, (64,))]
+        assert seq == from_midi(str(plain))
+
     def test_no_note_ons_rejected(self, tmp_path):
         path = tmp_path / "empty.mid"
         data = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
@@ -210,6 +234,24 @@ class TestFromJson:
         path = write_json_score(tmp_path / "nonfinite.json",
                                 [{"beat": b, "pitches": [60]} for b in beats])
         with pytest.raises(ScoreError, match="non-finite beat"):
+            from_json(path)
+
+    def test_document_not_an_array_rejected(self, tmp_path):
+        path = write_json_score(tmp_path / "object.json",
+                                {"beat": 0, "pitches": [60]})
+        with pytest.raises(ScoreError, match="expected a JSON array"):
+            from_json(path)
+
+    def test_onset_not_an_object_rejected(self, tmp_path):
+        path = write_json_score(tmp_path / "number.json",
+                                [{"beat": 0, "pitches": [60]}, 1])
+        with pytest.raises(ScoreError, match="onset 1 must be an object"):
+            from_json(path)
+
+    def test_beat_not_a_number_rejected(self, tmp_path):
+        path = write_json_score(tmp_path / "text.json",
+                                [{"beat": "0", "pitches": [60]}])
+        with pytest.raises(ScoreError, match="onset 0 beat is not a number"):
             from_json(path)
 
     def test_empty_score_rejected(self, tmp_path):
